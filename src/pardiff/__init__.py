@@ -17,9 +17,11 @@ from .classify import (
     eigen_symmetric,
 )
 from .elliptic import (
+    ConvergenceRow,
     FundamentalSolution,
     HarnackVerdict,
     SolveReport,
+    convergence_study,
     harmonicity_residual,
     harnack_limit,
     max_principle_check,
@@ -110,4 +112,6 @@ __all__ = [
     "max_principle_check",
     "harnack_limit",
     "harmonicity_residual",
+    "ConvergenceRow",
+    "convergence_study",
 ]

@@ -84,63 +84,36 @@ def coefficient_matrix(s: Stencil, x: Sequence[float]) -> CoefficientMatrix:
 
 
 def eigen_symmetric(matrix: Union[CoefficientMatrix, np.ndarray]) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix, ascending, by cyclic Jacobi rotations.
+    """Eigenvalues of a symmetric matrix, ascending, from ``np.linalg.eigvalsh``.
 
-    Converges quadratically; the sweep loop stops once the off-diagonal mass
-    drops below 1e-15 of the Frobenius norm, comfortably inside 1e-12
-    relative accuracy.
+    The matrix must be square and symmetric to 1e-12 of its largest entry.
+    A 1x1 matrix gives its entry and a zero matrix gives zeros, exactly.
     """
     a = matrix.entries if isinstance(matrix, CoefficientMatrix) else matrix
-    a = np.array(a, dtype=float)
+    a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if not np.allclose(a, a.T, rtol=0.0, atol=1e-12 * max(1.0, float(np.abs(a).max()))):
         raise ValueError("matrix is not symmetric")
-    n = a.shape[0]
-    if n == 1:
-        return a[0, :1].copy()
-    scale = float(np.sqrt((a * a).sum()))
-    if scale == 0.0:
-        return np.zeros(n)
-    for _ in range(50):
-        off = float(np.sqrt(2.0 * (np.tril(a, -1) ** 2).sum()))
-        if off <= 1e-15 * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-18 * scale:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                sn = t * c
-                rot_p = c * a[:, p] - sn * a[:, q]
-                rot_q = sn * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = rot_p, rot_q
-                rot_p = c * a[p, :] - sn * a[q, :]
-                rot_q = sn * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = rot_p, rot_q
-    return np.sort(np.diag(a))
+    return np.linalg.eigvalsh(a)
 
 
-def _label(eig: np.ndarray, tol: float) -> str:
-    lam_scale = max(1.0, float(np.abs(eig).max()))
-    threshold = tol * lam_scale
-    positive = eig > threshold
-    negative = eig < -threshold
-    if positive.all() or negative.all():
-        return "elliptic"
-    if positive.any() and negative.any():
-        return "hyperbolic"
-    return "parabolic"
+def _labels(eigenvalues: np.ndarray, tol: float) -> tuple[str, ...]:
+    """Label each row of an (m, n) eigenvalue array against tol * max(1, |lambda|max)."""
+    threshold = tol * np.maximum(1.0, np.abs(eigenvalues).max(axis=1, keepdims=True))
+    positive = eigenvalues > threshold
+    negative = eigenvalues < -threshold
+    definite = positive.all(axis=1) | negative.all(axis=1)
+    indefinite = positive.any(axis=1) & negative.any(axis=1)
+    codes = np.where(definite, 0, np.where(indefinite, 1, 2))
+    return tuple(LABELS[k] for k in codes.tolist())
 
 
 def classify_at(s: Stencil, x: Sequence[float], tol: float = DEFAULT_TOL) -> str:
     """Label the operator at one point: elliptic, hyperbolic, or parabolic."""
     if tol <= 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    return _label(eigen_symmetric(coefficient_matrix(s, x)), tol)
+    return _labels(eigen_symmetric(coefficient_matrix(s, x))[None, :], tol)[0]
 
 
 def classify_region(s: Stencil, probe: GridSpec, tol: float = DEFAULT_TOL) -> ClassificationReport:
@@ -151,34 +124,16 @@ def classify_region(s: Stencil, probe: GridSpec, tol: float = DEFAULT_TOL) -> Cl
         raise ValueError(f"probe dimension {probe.dim} does not match stencil {s.dim}")
     meshes = probe.meshes()
     points = np.stack([m.reshape(-1) for m in meshes], axis=1)
-    m = points.shape[0]
-    n = s.dim
     # Vectorized coefficient evaluation per term, then the rank-1 accumulation.
-    coords = [points[:, a] for a in range(n)]
-    entries = np.zeros((m, n, n))
+    entries = np.zeros((points.shape[0], s.dim, s.dim))
     for t in s.terms:
         c = t.constant
         if c is not None:
-            gamma = np.full(m, c)
+            gamma = c
         else:
-            gamma = ex.evaluate_arrays(t.coeff, coords)
-            finite = np.isfinite(gamma)
-            if not finite.all():
-                bad = int(np.argmin(finite))
-                point = tuple(points[bad])
-                try:
-                    ex.evaluate(t.coeff, point)
-                    cause = "non-finite result"
-                except ex.ExprEvalError as exc:
-                    cause = str(exc)
-                raise ex.ExprEvalError(f"coefficient evaluation failed: {cause}", point)
+            gamma = ex.evaluate_nodes(t.coeff, meshes, "coefficient evaluation").reshape(-1, 1, 1)
         rho = np.asarray(t.shift, dtype=float)
-        entries += gamma[:, None, None] * np.outer(rho, rho)[None, :, :]
-    eigenvalues = np.empty((m, n))
-    labels = []
-    for k in range(m):
-        eig = eigen_symmetric(entries[k])
-        eigenvalues[k] = eig
-        labels.append(_label(eig, tol))
-    counts = dict(Counter(labels))
-    return ClassificationReport(points, eigenvalues, tuple(labels), tol, counts)
+        entries += gamma * np.outer(rho, rho)
+    eigenvalues = np.linalg.eigvalsh(entries)
+    labels = _labels(eigenvalues, tol)
+    return ClassificationReport(points, eigenvalues, labels, tol, dict(Counter(labels)))

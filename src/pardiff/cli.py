@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 input or parse error, 2 numerical failure
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 import tempfile
@@ -21,10 +20,11 @@ import time
 import numpy as np
 
 from . import __version__
-from .classify import DEFAULT_TOL, classify_region, coefficient_matrix, eigen_symmetric, _label
+from .classify import DEFAULT_TOL, classify_at, classify_region, coefficient_matrix, eigen_symmetric
 from .elliptic import (
     FundamentalSolution,
     SolveReport,
+    convergence_study,
     max_principle_check,
     newtonian_potential,
     solve_biharmonic,
@@ -36,7 +36,7 @@ from .grid import GridFileError, GridFunction, GridSpec, grid_file_text, load_gr
 from .mollify import MollifierError, convolve, make_mollifier
 from .stencil import StencilFileError, biharmonic_stencil, laplace_stencil, load_stencil, residual
 
-__all__ = ["main", "convergence_study"]
+__all__ = ["main"]
 
 
 class _UsageError(Exception):
@@ -90,21 +90,17 @@ def _cmd_classify(args) -> int:
     if args.tol <= 0.0:
         raise _UsageError(f"--tol must be positive, got {args.tol}")
     s = load_stencil(args.stencil)
-    rows = []
     if args.at is not None:
         if len(args.at) != s.dim:
             raise _UsageError(f"--at needs {s.dim} coordinates")
-        matrix = coefficient_matrix(s, args.at)
-        eig = eigen_symmetric(matrix)
-        label = _label(eig, args.tol)
-        rows.append((tuple(args.at), eig, label))
+        eig = eigen_symmetric(coefficient_matrix(s, args.at))
+        rows = [(args.at, eig, classify_at(s, args.at, args.tol))]
     else:
         if args.probe_origin is None or args.probe_h is None or args.probe_extents is None:
             raise _UsageError("classify needs --at or all of --probe-origin/--probe-h/--probe-extents")
         probe = GridSpec(tuple(args.probe_origin), args.probe_h, tuple(args.probe_extents))
         report = classify_region(s, probe, args.tol)
-        for k in range(report.points.shape[0]):
-            rows.append((tuple(report.points[k]), report.eigenvalues[k], report.labels[k]))
+        rows = zip(report.points, report.eigenvalues, report.labels)
     lines = [_classify_header(s.dim)]
     for point, eig, label in rows:
         lines.append(
@@ -222,41 +218,6 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-def convergence_study(
-    problem: str,
-    reference: str,
-    rhs: str | None,
-    origin: tuple[float, ...],
-    length: float,
-    h_list: list[float],
-    tol: float = 1e-10,
-    max_iter: int = 100_000,
-) -> list[tuple[float, float]]:
-    """Per-spacing max-norm error of a Dirichlet solve against a reference expression."""
-    if len(h_list) < 2:
-        raise ValueError("convergence study needs at least 2 spacings")
-    if any(b >= a for a, b in zip(h_list, h_list[1:])):
-        raise ValueError("spacings must be strictly decreasing")
-    ref = parse_expr(reference)
-    rhs_expr = parse_expr(rhs) if rhs else None
-    if problem == "poisson" and rhs_expr is None:
-        raise ValueError("a poisson study needs --rhs")
-    rows = []
-    for h in h_list:
-        extents = tuple(int(round(length / h)) + 1 for _ in origin)
-        spec = GridSpec(origin, h, extents)
-        g = sample(ref, spec)
-        if problem == "laplace":
-            report = solve_laplace_dirichlet(g, tol, max_iter)
-        else:
-            report = solve_poisson_dirichlet(sample(rhs_expr, spec), g, tol, max_iter)
-        if not report.converged:
-            raise _NumericalFailure(f"solve at h={h} did not converge")
-        error = float(np.abs(report.solution.values - g.values).max())
-        rows.append((float(h), error))
-    return rows
-
-
 def _cmd_convergence(args) -> int:
     rows = convergence_study(
         args.problem,
@@ -268,17 +229,12 @@ def _cmd_convergence(args) -> int:
         args.tol,
         args.max_iter,
     )
+    if not rows[-1].converged:
+        raise _NumericalFailure(f"solve at h={rows[-1].h} did not converge")
     lines = ["h,error,observed_order"]
-    prev: tuple[float, float] | None = None
-    for h, error in rows:
-        if prev is None:
-            order = ""
-        elif error == 0.0 or max(error, prev[1]) <= 100.0 * args.tol:
-            order = "exact"
-        else:
-            order = _fmt(math.log(prev[1] / error) / math.log(prev[0] / h))
-        lines.append(f"{_fmt(h)},{_fmt(error)},{order}")
-        prev = (h, error)
+    for row in rows:
+        order = "exact" if row.exact else "" if row.order is None else _fmt(row.order)
+        lines.append(f"{_fmt(row.h)},{_fmt(row.error)},{order}")
     _emit("\n".join(lines) + "\n", args.output)
     return 0
 

@@ -17,7 +17,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .expr import CoeffExpr
+from .expr import CoeffExpr, parse
 from .grid import GridFunction, GridSpec, Margins, _normalize_margins, sample, shrink
 from .stencil import laplace_stencil
 
@@ -34,6 +34,8 @@ __all__ = [
     "max_principle_check",
     "harnack_limit",
     "harmonicity_residual",
+    "ConvergenceRow",
+    "convergence_study",
 ]
 
 
@@ -499,3 +501,69 @@ def harmonicity_residual(
         logs_r = np.log([r for _, r in meaningful])
         order = float(np.polyfit(logs_h, logs_r, 1)[0])
     return pairs, order
+
+
+@dataclass(frozen=True)
+class ConvergenceRow:
+    """One spacing of a convergence study.
+
+    ``order`` is the observed order against the previous spacing; it is None
+    on the first row and on ``exact`` rows, where both errors sit at the
+    solver tolerance and no order can be observed.
+    """
+
+    h: float
+    error: float
+    order: float | None
+    exact: bool
+    converged: bool
+
+
+def convergence_study(
+    problem: str,
+    reference: str,
+    rhs: str | None,
+    origin: Sequence[float],
+    length: float,
+    h_list: Sequence[float],
+    tol: float = 1e-10,
+    max_iter: int = 100_000,
+) -> list[ConvergenceRow]:
+    """Per-spacing max-norm error of a Dirichlet solve against a reference expression.
+
+    ``problem`` is ``laplace`` or ``poisson``; each spacing solves on the box
+    ``origin + [0, length]`` per axis with the reference as boundary data.
+    Non-convergence is reported, not raised: the study stops after the first
+    spacing whose solve does not converge, and that row has ``converged``
+    False.
+    """
+    if len(h_list) < 2:
+        raise ValueError("convergence study needs at least 2 spacings")
+    if any(b >= a for a, b in zip(h_list, h_list[1:])):
+        raise ValueError("spacings must be strictly decreasing")
+    ref = parse(reference)
+    rhs_expr = parse(rhs) if rhs else None
+    if problem == "poisson" and rhs_expr is None:
+        raise ValueError("a poisson study needs --rhs")
+    rows: list[ConvergenceRow] = []
+    for h in h_list:
+        h = float(h)
+        extents = tuple(int(round(length / h)) + 1 for _ in origin)
+        spec = GridSpec(origin, h, extents)
+        g = sample(ref, spec)
+        if problem == "laplace":
+            report = solve_laplace_dirichlet(g, tol, max_iter)
+        else:
+            report = solve_poisson_dirichlet(sample(rhs_expr, spec), g, tol, max_iter)
+        error = float(np.abs(report.solution.values - g.values).max())
+        order, exact = None, False
+        if rows:
+            prev = rows[-1]
+            if error == 0.0 or max(error, prev.error) <= 100.0 * tol:
+                exact = True
+            else:
+                order = math.log(prev.error / error) / math.log(prev.h / h)
+        rows.append(ConvergenceRow(h, error, order, exact, report.converged))
+        if not report.converged:
+            break
+    return rows

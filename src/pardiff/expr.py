@@ -39,6 +39,7 @@ __all__ = [
     "parse",
     "evaluate",
     "evaluate_arrays",
+    "evaluate_nodes",
     "to_string",
 ]
 
@@ -58,9 +59,13 @@ class ExprSyntaxError(ExprError):
 
 
 class ExprEvalError(ExprError):
-    """Evaluation hit a domain error or produced a non-finite value."""
+    """Evaluation hit a domain error or produced a non-finite value.
+
+    ``reason`` is the message without the ``at point (...)`` suffix.
+    """
 
     def __init__(self, message: str, point: Sequence[float] | None = None):
+        self.reason = message
         self.point = tuple(float(v) for v in point) if point is not None else None
         if self.point is not None:
             message = f"{message} at point {self.point}"
@@ -312,8 +317,7 @@ def evaluate_arrays(e: CoeffExpr, coords: Sequence[np.ndarray]) -> np.ndarray:
     """Vectorized evaluation over per-axis coordinate arrays of a common shape.
 
     Domain errors surface as non-finite entries rather than exceptions;
-    callers that need per-node diagnostics should locate the offending entry
-    and re-evaluate it with :func:`evaluate`.
+    :func:`evaluate_nodes` turns them into an error naming the failing node.
     """
     arrays = [np.asarray(c, dtype=float) for c in coords]
     if not arrays:
@@ -322,6 +326,28 @@ def evaluate_arrays(e: CoeffExpr, coords: Sequence[np.ndarray]) -> np.ndarray:
     with np.errstate(all="ignore"):
         out = _eval_array(e, arrays)
     return np.broadcast_to(np.asarray(out, dtype=float), shape).copy()
+
+
+def evaluate_nodes(e: CoeffExpr, meshes: Sequence[np.ndarray], what: str) -> np.ndarray:
+    """Evaluate over grid meshes and require every entry to be finite.
+
+    At the first non-finite node in row-major order the expression is
+    re-evaluated with :func:`evaluate` to recover the cause, and one
+    ExprEvalError ``"<what> failed at node (i, ...): <cause> at point (...)"``
+    is raised.
+    """
+    values = evaluate_arrays(e, meshes)
+    finite = np.isfinite(values)
+    if finite.all():
+        return values
+    index = np.unravel_index(int(np.argmin(finite)), values.shape)
+    point = tuple(float(m[index]) for m in meshes)
+    try:
+        evaluate(e, point)
+        cause = "non-finite result"
+    except ExprEvalError as exc:
+        cause = exc.reason
+    raise ExprEvalError(f"{what} failed at node {tuple(int(i) for i in index)}: {cause}", point)
 
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}

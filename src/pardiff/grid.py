@@ -13,7 +13,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .expr import CoeffExpr, ExprEvalError, evaluate, evaluate_arrays, parse
+from .expr import CoeffExpr, evaluate_nodes, parse
 
 __all__ = [
     "GridSpec",
@@ -124,20 +124,7 @@ def sample(expression: Union[CoeffExpr, str], spec: GridSpec) -> GridFunction:
     underlying cause.
     """
     e = parse(expression) if isinstance(expression, str) else expression
-    values = evaluate_arrays(e, spec.meshes())
-    finite = np.isfinite(values)
-    if not finite.all():
-        index = np.unravel_index(int(np.argmin(finite)), values.shape)
-        point = spec.node(index)
-        try:
-            evaluate(e, point)  # recover the precise cause
-            cause = "non-finite result"
-        except ExprEvalError as exc:
-            cause = str(exc)
-        raise ExprEvalError(
-            f"sampling failed at node {tuple(int(i) for i in index)}: {cause}", point
-        )
-    return GridFunction(spec, values)
+    return GridFunction(spec, evaluate_nodes(e, spec.meshes(), "sampling"))
 
 
 def norm(u: GridFunction, kind: str) -> float:

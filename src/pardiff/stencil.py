@@ -158,22 +158,7 @@ class Stencil:
             else:
                 if meshes is None:
                     meshes = out_spec.meshes()
-                coeff = ex.evaluate_arrays(t.coeff, meshes)
-                finite = np.isfinite(coeff)
-                if not finite.all():
-                    index = np.unravel_index(int(np.argmin(finite)), coeff.shape)
-                    point = out_spec.node(index)
-                    try:
-                        ex.evaluate(t.coeff, point)
-                        cause = "non-finite result"
-                    except ex.ExprEvalError as exc:
-                        cause = str(exc)
-                    raise ex.ExprEvalError(
-                        f"coefficient evaluation failed at node "
-                        f"{tuple(int(i) for i in index)}: {cause}",
-                        point,
-                    )
-                out += coeff * shifted
+                out += ex.evaluate_nodes(t.coeff, meshes, "coefficient evaluation") * shifted
         if self.scale_exp:
             out *= self.h ** (-self.scale_exp)
         return GridFunction(out_spec, out)

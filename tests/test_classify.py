@@ -224,3 +224,35 @@ class TestDetTraceEquivalence:
             oracle = "elliptic" if det > 0 else "hyperbolic"
             assert classify_at(s, (0.0, 0.0), tol) == oracle
             checked += 1
+
+
+def random_variable_stencil(rng, dim):
+    """Shifts in {-1, 0, 1}^dim led by a cross term, with smooth variable coefficients."""
+    shifts = [(1, -1) + (0,) * (dim - 2)]
+    shifts += [tuple(int(v) for v in rng.integers(-1, 2, size=dim)) for _ in range(rng.integers(3, 7))]
+    terms = []
+    for shift in shifts:
+        a, b, c = (float(v) for v in rng.uniform(-1.0, 1.0, size=3))
+        k = int(rng.integers(1, dim + 1))
+        terms.append((shift, f"{a!r} + {b!r}*x{k} + {c!r}*sin(x{dim})*exp(x1)"))
+    return make_stencil(dim, terms)
+
+
+class TestBatchedMatchesPointwise:
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_region_matches_classify_at_and_lapack(self, dim):
+        rng = np.random.default_rng(60 + dim)
+        tol = 1e-9
+        rank_one = make_stencil(dim, (((1,) * dim, "1 + x1^2"),))
+        stencils = [random_variable_stencil(rng, dim) for _ in range(8)] + [rank_one]
+        probe = GridSpec((-1.0,) * dim, 0.5, (5,) * dim)
+        seen = set()
+        for s in stencils:
+            report = classify_region(s, probe, tol)
+            for point, eig, label in zip(report.points, report.eigenvalues, report.labels):
+                assert label == classify_at(s, point, tol)
+                expected = np.linalg.eigvalsh(coefficient_matrix(s, point).entries)
+                scale = max(1.0, float(np.abs(expected).max()))
+                assert np.allclose(eig, expected, rtol=0, atol=1e-12 * scale)
+            seen.update(report.labels)
+        assert seen == {"elliptic", "hyperbolic", "parabolic"}

@@ -382,6 +382,58 @@ class TestConvergenceCommand:
         lines = capsys.readouterr().out.splitlines()
         assert lines[2].split(",")[2] == "exact"
 
+    def test_poisson_rhs_with_leading_minus(self, capsys):
+        code = main(
+            [
+                "convergence",
+                "--problem",
+                "poisson",
+                "--reference",
+                "sin(x1)*sin(x2)",
+                "--rhs=-2*sin(x1)*sin(x2)",
+                "--h",
+                "0.125",
+                "0.0625",
+                "--origin",
+                "0",
+                "0",
+                "--length",
+                "1",
+            ]
+        )
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 3
+        order = float(lines[2].split(",")[2])
+        assert 1.7 <= order <= 2.3
+
+    def test_non_convergence_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "study.csv"
+        code = main(
+            [
+                "convergence",
+                "--problem",
+                "laplace",
+                "--reference",
+                "exp(x1)*sin(x2)",
+                "--h",
+                "0.125",
+                "0.0625",
+                "--origin",
+                "0",
+                "0",
+                "--length",
+                "1",
+                "--max-iter",
+                "3",
+                "--output",
+                str(out),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: solve at h=0.125 did not converge\n"
+        assert not out.exists()
+
     def test_single_spacing_rejected(self):
         code = main(
             [

@@ -5,6 +5,7 @@ import pytest
 
 from pardiff.elliptic import (
     FundamentalSolution,
+    convergence_study,
     harnack_limit,
     harmonicity_residual,
     max_principle_check,
@@ -445,3 +446,25 @@ class TestHarmonicityResidual:
     def test_evaluation_failure_propagates(self):
         with pytest.raises(Exception, match="ln|sampling"):
             harmonicity_residual("ln(x1)", (-1.0, 0.0), (2.0, 1.0), [0.5])
+
+
+class TestConvergenceStudy:
+    def test_orders_near_two(self):
+        rows = convergence_study(
+            "laplace", "exp(x1)*sin(x2)", None, (0.0, 0.0), 1.0, [0.125, 0.0625, 0.03125]
+        )
+        assert [row.h for row in rows] == [0.125, 0.0625, 0.03125]
+        assert rows[0].order is None and not rows[0].exact
+        assert all(row.converged for row in rows)
+        assert all(1.7 <= row.order <= 2.3 for row in rows[1:])
+
+    def test_non_convergence_is_reported_and_ends_the_study(self):
+        rows = convergence_study(
+            "laplace", "exp(x1)*sin(x2)", None, (0.0, 0.0), 1.0, [0.125, 0.0625], max_iter=3
+        )
+        assert len(rows) == 1
+        assert not rows[0].converged
+
+    def test_poisson_needs_rhs(self):
+        with pytest.raises(ValueError, match="rhs"):
+            convergence_study("poisson", "x1", None, (0.0, 0.0), 1.0, [0.5, 0.25])

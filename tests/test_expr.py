@@ -11,11 +11,16 @@ from pardiff.expr import (
     Var,
     evaluate,
     evaluate_arrays,
+    evaluate_nodes,
     parse,
     to_string,
 )
 
 import numpy as np
+
+from pardiff.classify import classify_region
+from pardiff.grid import GridFunction, GridSpec, sample
+from pardiff.stencil import Stencil, StencilTerm
 
 
 class TestParse:
@@ -185,3 +190,31 @@ def _compound(children):
 @given(st.recursive(_leaf, _compound, max_leaves=25))
 def test_print_parse_round_trip_random_trees(tree):
     assert parse(to_string(tree)) == tree
+
+
+LN_SPEC = GridSpec((0.0,), 0.5, (3,))
+LN_STENCIL = Stencil(1, 0.5, (StencilTerm((1,), parse("ln(x1)")),))
+
+
+class TestEvaluateNodes:
+    def test_non_finite_without_scalar_cause(self):
+        with pytest.raises(ExprEvalError) as err:
+            evaluate_nodes(parse("1e999"), LN_SPEC.meshes(), "sampling")
+        assert str(err.value) == "sampling failed at node (0,): non-finite result at point (0.0,)"
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: sample("ln(x1)", LN_SPEC),
+            lambda: LN_STENCIL.apply(GridFunction(LN_SPEC, np.zeros(3))),
+            lambda: classify_region(LN_STENCIL, LN_SPEC),
+        ],
+        ids=["sample", "stencil_apply", "classify_region"],
+    )
+    def test_failure_names_node_and_point_once(self, call):
+        with pytest.raises(ExprEvalError) as err:
+            call()
+        message = str(err.value)
+        assert message.count("at point") == 1
+        assert "failed at node (0,): ln(0.0) failed: math domain error at point (0.0,)" in message
+        assert err.value.point == (0.0,)
