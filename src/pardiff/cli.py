@@ -6,7 +6,7 @@ identical inputs produce byte-identical output.  Files are written to a
 temporary name and renamed on success, never left half-written.
 
 Exit codes: 0 success, 1 input or parse error, 2 numerical failure
-(non-convergence or coefficient evaluation failure).
+(non-convergence, coefficient evaluation failure or floating-point overflow).
 """
 
 from __future__ import annotations
@@ -322,7 +322,7 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (_NumericalFailure, ExprEvalError, MollifierError) as exc:
+    except (_NumericalFailure, ExprEvalError, MollifierError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ExprSyntaxError, GridFileError, StencilFileError, OSError, ValueError) as exc:

@@ -97,11 +97,17 @@ def newtonian_potential(
     targets: GridSpec,
     singular_subdivisions: int = 8,
 ) -> GridFunction:
-    """Volume potential of a compactly supported source, by direct lattice summation.
+    """Volume potential of a compactly supported source.
 
     ``u(x) = h^n * sum_y K(x - y) f(y)`` where the self cell (target on a
     source node) contributes the cell average of the kernel instead of the
     singular point value.  The source must vanish on its grid boundary layer.
+
+    Targets on the source lattice (the same spacing to 1e-12 relative, and
+    an origin a whole number of cells from the source origin, to 1e-9 cells)
+    see a translation-invariant kernel, so the sum is a zero-padded discrete
+    convolution evaluated by FFT (Hockney's free-space method).  Any other
+    targets take the direct pairwise sum.
     """
     n = fs.dim
     if source.spec.dim != n or targets.dim != n:
@@ -113,37 +119,105 @@ def newtonian_potential(
             f"source is not compactly supported: nonzero boundary value at node "
             f"{tuple(int(i) for i in bad)}"
         )
-    h = source.spec.h
-    src_meshes = source.spec.meshes()
-    keep = source.values != 0.0
-    src_points = np.stack([m[keep] for m in src_meshes], axis=1)
-    weights = source.values[keep]
-    tgt_meshes = targets.meshes()
-    tgt_points = np.stack([m.reshape(-1) for m in tgt_meshes], axis=1)
-    out = np.zeros(tgt_points.shape[0])
-    if src_points.shape[0] > 0:
-        self_value = fs.cell_average(h, singular_subdivisions)
-        near_sq = (1e-9 * h) ** 2
-        chunk = max(1, int(4_000_000 // max(1, src_points.shape[0])))
-        for start in range(0, tgt_points.shape[0], chunk):
-            block = tgt_points[start : start + chunk]
-            diff = block[:, 0, None] - src_points[None, :, 0]
-            d2 = diff * diff
-            for a in range(1, n):
-                diff = block[:, a, None] - src_points[None, :, a]
-                d2 += diff * diff
-            near = d2 <= near_sq
-            with np.errstate(divide="ignore"):
-                if n == 2:
-                    # log(r) = log(r^2) / 2, skipping the sqrt pass
-                    vals = np.log(d2)
-                    vals *= 1.0 / (4.0 * math.pi)
-                else:
-                    vals = d2 ** ((2.0 - n) / 2.0)
-                    vals *= -1.0 / ((n - 2.0) * fs.unit_sphere_area)
-            vals[near] = self_value
-            out[start : start + chunk] = h**n * (vals @ weights)
+    if not np.any(source.values):
+        return GridFunction(targets, np.zeros(targets.extents))
+    offset = _lattice_offset(source.spec, targets)
+    if offset is not None:
+        out = _hockney_potential(fs, source, targets.extents, offset, singular_subdivisions)
+    else:
+        points = np.stack([m.reshape(-1) for m in targets.meshes()], axis=1)
+        out = _direct_potential(fs, source, points, singular_subdivisions)
     return GridFunction(targets, out.reshape(targets.extents))
+
+
+def _kernel_of_squared_distance(fs: FundamentalSolution, d2: np.ndarray) -> np.ndarray:
+    """Kernel values from squared distances; entries with ``d2 == 0`` are not finite."""
+    n = fs.dim
+    with np.errstate(divide="ignore"):
+        if n == 2:
+            # log(r) = log(r^2) / 2, skipping the sqrt pass
+            vals = np.log(d2)
+            vals *= 1.0 / (4.0 * math.pi)
+        else:
+            vals = d2 ** ((2.0 - n) / 2.0)
+            vals *= -1.0 / ((n - 2.0) * fs.unit_sphere_area)
+    return vals
+
+
+def _lattice_offset(source: GridSpec, targets: GridSpec) -> tuple[int, ...] | None:
+    """Whole-cell offset of the target origin from the source origin, or None off-lattice."""
+    h = source.h
+    if not math.isclose(targets.h, h, rel_tol=1e-12):
+        return None
+    cells = [(t - s) / h for t, s in zip(targets.origin, source.origin)]
+    offset = tuple(round(c) for c in cells)
+    if any(abs(c - k) > 1e-9 for c, k in zip(cells, offset)):
+        return None
+    return offset
+
+
+def _hockney_potential(
+    fs: FundamentalSolution,
+    source: GridFunction,
+    target_extents: Sequence[int],
+    offset: Sequence[int],
+    singular_subdivisions: int,
+) -> np.ndarray:
+    """The lattice sum for targets ``offset`` cells from the source origin, by FFT.
+
+    Target node t sees source node s at displacement ``offset + t - s``, so
+    the sum is a linear convolution of the source with the kernel tabulated
+    on displacements ``offset - (Ns-1) ... offset + Nt - 1`` per axis.  A
+    cyclic convolution of length ``Ns + Nt - 1`` wraps around only below
+    index ``Ns - 1``, outside the window read back.
+    """
+    n = fs.dim
+    h = source.spec.h
+    src_extents = source.spec.extents
+    shape = tuple(s + t - 1 for s, t in zip(src_extents, target_extents))
+    displacements = np.ix_(
+        *(h * np.arange(o - s + 1, o + t) for o, s, t in zip(offset, src_extents, target_extents))
+    )
+    table = _kernel_of_squared_distance(fs, sum(d * d for d in displacements))
+    zero = tuple(s - 1 - o for o, s in zip(offset, src_extents))
+    if all(0 <= z < length for z, length in zip(zero, shape)):
+        table[zero] = fs.cell_average(h, singular_subdivisions)
+    axes = tuple(range(n))
+    spectrum = np.fft.rfftn(table, shape, axes=axes)
+    spectrum *= np.fft.rfftn(source.values, shape, axes=axes)
+    full = np.fft.irfftn(spectrum, shape, axes=axes)
+    window = tuple(slice(s - 1, s - 1 + t) for s, t in zip(src_extents, target_extents))
+    return h**n * full[window]
+
+
+def _direct_potential(
+    fs: FundamentalSolution,
+    source: GridFunction,
+    points: np.ndarray,
+    singular_subdivisions: int,
+) -> np.ndarray:
+    """The lattice sum at arbitrary target points, shape (m, n), pair by pair."""
+    n = fs.dim
+    h = source.spec.h
+    keep = source.values != 0.0
+    src_points = np.stack([m[keep] for m in source.spec.meshes()], axis=1)
+    weights = source.values[keep]
+    out = np.zeros(points.shape[0])
+    self_value = fs.cell_average(h, singular_subdivisions)
+    near_sq = (1e-9 * h) ** 2
+    # About 2 MB per (block x sources) temporary, so each fits one core's L2 cache.
+    chunk = max(1, int(250_000 // max(1, src_points.shape[0])))
+    for start in range(0, points.shape[0], chunk):
+        block = points[start : start + chunk]
+        diff = block[:, 0, None] - src_points[None, :, 0]
+        d2 = diff * diff
+        for a in range(1, n):
+            diff = block[:, a, None] - src_points[None, :, a]
+            d2 += diff * diff
+        vals = _kernel_of_squared_distance(fs, d2)
+        vals[d2 <= near_sq] = self_value
+        out[start : start + chunk] = h**n * (vals @ weights)
+    return out
 
 
 @dataclass(frozen=True)

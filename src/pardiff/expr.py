@@ -14,7 +14,9 @@ Grammar (precedence lowest to highest):
 
 Variables are ``x1``, ``x2``, ... (1-based).  Functions: exp, ln, sin, cos,
 sqrt, abs.  Whitespace is insignificant.  There is no implicit
-multiplication: ``2x1`` is a syntax error.
+multiplication: ``2x1`` is a syntax error.  Numeric literals must be finite
+(``1e999`` is a syntax error), and so is an expression nested more than 100
+levels deep.
 """
 
 from __future__ import annotations
@@ -102,6 +104,12 @@ class BinOp:
 
 CoeffExpr = Union[Num, Var, Neg, Call, BinOp]
 
+# Deepest syntax tree, and deepest nesting of brackets, calls, signs and
+# exponents, that parse accepts.  The parser recurses up to five frames per
+# level and the evaluators and the printer one per level of the tree, so this
+# keeps them well inside Python's default recursion limit of 1000 frames.
+_MAX_DEPTH = 100
+
 _NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 _VAR_RE = re.compile(r"x(\d+)\Z")
 
@@ -137,9 +145,12 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
+    """Recursive descent; each production returns ``(tree, height of the tree)``."""
+
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.nesting = 0
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -152,44 +163,71 @@ class _Parser:
     def fail(self, message: str) -> None:
         raise ExprSyntaxError(message, self.peek()[2])
 
+    def checked(self, e: CoeffExpr, height: int, offset: int) -> tuple[CoeffExpr, int]:
+        if height > _MAX_DEPTH:
+            raise ExprSyntaxError(f"expression nested deeper than {_MAX_DEPTH} levels", offset)
+        return e, height
+
     def parse(self) -> CoeffExpr:
-        e = self.expr()
+        e, _ = self.expr()
         kind, value, offset = self.peek()
         if kind != "end":
             raise ExprSyntaxError(f"unexpected {value!r}", offset)
         return e
 
-    def expr(self) -> CoeffExpr:
-        left = self.term()
+    def expr(self) -> tuple[CoeffExpr, int]:
+        left, height = self.term()
         while self.peek()[0] in "+-":
-            op = self.advance()[0]
-            left = BinOp(op, left, self.term())
-        return left
+            op, _, offset = self.advance()
+            right, right_height = self.term()
+            left, height = self.checked(
+                BinOp(op, left, right), 1 + max(height, right_height), offset
+            )
+        return left, height
 
-    def term(self) -> CoeffExpr:
-        left = self.unary()
+    def term(self) -> tuple[CoeffExpr, int]:
+        left, height = self.unary()
         while self.peek()[0] in "*/":
-            op = self.advance()[0]
-            left = BinOp(op, left, self.unary())
-        return left
+            op, _, offset = self.advance()
+            right, right_height = self.unary()
+            left, height = self.checked(
+                BinOp(op, left, right), 1 + max(height, right_height), offset
+            )
+        return left, height
 
-    def unary(self) -> CoeffExpr:
+    def unary(self) -> tuple[CoeffExpr, int]:
+        # Every recursive production passes through here, so this bounds the
+        # parser's own recursion, which brackets grow without deepening the tree.
+        self.nesting += 1
+        if self.nesting > _MAX_DEPTH:
+            self.fail(f"expression nested deeper than {_MAX_DEPTH} levels")
+        offset = self.peek()[2]
         if self.peek()[0] == "-":
             self.advance()
-            return Neg(self.unary())
-        return self.power()
+            operand, height = self.unary()
+            result = self.checked(Neg(operand), height + 1, offset)
+        else:
+            result = self.power()
+        self.nesting -= 1
+        return result
 
-    def power(self) -> CoeffExpr:
-        base = self.atom()
+    def power(self) -> tuple[CoeffExpr, int]:
+        base, height = self.atom()
         if self.peek()[0] == "^":
-            self.advance()
-            return BinOp("^", base, self.unary())
-        return base
+            offset = self.advance()[2]
+            exponent, exponent_height = self.unary()
+            return self.checked(
+                BinOp("^", base, exponent), 1 + max(height, exponent_height), offset
+            )
+        return base, height
 
-    def atom(self) -> CoeffExpr:
+    def atom(self) -> tuple[CoeffExpr, int]:
         kind, value, offset = self.advance()
         if kind == "number":
-            return Num(float(value))
+            number = float(value)
+            if not math.isfinite(number):
+                raise ExprSyntaxError(f"numeric literal {value!r} is not finite", offset)
+            return Num(number), 1
         if kind == "(":
             e = self.expr()
             if self.peek()[0] != ")":
@@ -202,16 +240,16 @@ class _Parser:
                 index = int(m.group(1))
                 if index < 1:
                     raise ExprSyntaxError(f"invalid variable index in {value!r}", offset)
-                return Var(index)
+                return Var(index), 1
             if value in FUNCTIONS:
                 if self.peek()[0] != "(":
                     self.fail(f"expected '(' after {value!r}")
                 self.advance()
-                arg = self.expr()
+                arg, height = self.expr()
                 if self.peek()[0] != ")":
                     self.fail("expected ')'")
                 self.advance()
-                return Call(value, arg)
+                return self.checked(Call(value, arg), height + 1, offset)
             raise ExprSyntaxError(f"unknown identifier {value!r}", offset)
         raise ExprSyntaxError(f"unexpected {value!r}" if value else "unexpected end of input", offset)
 

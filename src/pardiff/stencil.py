@@ -52,7 +52,9 @@ def _normalize_shift_entry(v) -> Union[int, float]:
 
 def _as_coeff(c: Coefficient) -> ex.CoeffExpr:
     if isinstance(c, (int, float)):
-        return ex.Num(float(c))
+        c = ex.Num(float(c))
+    if isinstance(c, ex.Num) and not math.isfinite(c.value):
+        raise ValueError(f"coefficient must be finite, got {c.value}")
     return c
 
 
@@ -124,8 +126,13 @@ class Stencil:
         """True when every shift entry is an integer (required for apply)."""
         return all(isinstance(v, int) for t in self.terms for v in t.shift)
 
+    @np.errstate(over="ignore", invalid="ignore")
     def apply(self, u: GridFunction) -> GridFunction:
-        """Apply the operator on the sub-grid where every shift stays in-grid."""
+        """Apply the operator on the sub-grid where every shift stays in-grid.
+
+        Raises OverflowError when the ``h^(-p)`` factor or the result is not
+        a finite float.
+        """
         spec = u.spec
         if spec.dim != self.dim:
             raise ValueError(f"stencil dimension {self.dim} does not match grid {spec.dim}")
@@ -160,7 +167,16 @@ class Stencil:
                     meshes = out_spec.meshes()
                 out += ex.evaluate_nodes(t.coeff, meshes, "coefficient evaluation") * shifted
         if self.scale_exp:
-            out *= self.h ** (-self.scale_exp)
+            try:
+                out *= self.h ** (-self.scale_exp)
+            except OverflowError:
+                raise OverflowError(
+                    f"scale factor h^(-{self.scale_exp}) overflows at h = {self.h!r}"
+                ) from None
+        finite = np.isfinite(out)
+        if not finite.all():
+            bad = np.unravel_index(int(np.argmin(finite)), out.shape)
+            raise OverflowError(f"stencil result overflows at node {tuple(int(i) for i in bad)}")
         return GridFunction(out_spec, out)
 
 

@@ -218,6 +218,19 @@ class TestSolveCommand:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "boundary", ["(" * 1200 + "x1" + ")" * 1200, "x1 + 1e999"], ids=["nested", "non-finite"]
+    )
+    def test_boundary_rejected_with_one_error_line(self, box_grid, tmp_path, capsys, boundary):
+        out = tmp_path / "s.grd"
+        code = main(
+            ["solve", "laplace", "--grid", box_grid, f"--boundary={boundary}", "--output", str(out)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_laplace_rejects_rhs(self, box_grid, tmp_path):
         code = main(
             [
@@ -332,6 +345,25 @@ class TestVerifyCommand:
         assert main(["verify", "--grid", str(grid), "--operator", "biharmonic", "--rhs", "0"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert float(lines[1].split(",")[3]) <= 1e-12
+
+    def test_scale_overflow_exits_2(self, tmp_path, capsys):
+        spec = GridSpec((0.0, 0.0), 1e-200, (5, 5))
+        grid = tmp_path / "tiny.grd"
+        save_grid(GridFunction(spec, np.ones((5, 5))), str(grid))
+        out = tmp_path / "v.csv"
+        assert main(["verify", "--grid", str(grid), "--scaled", "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "overflows" in err and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_non_finite_stencil_coefficient_exits_1(self, saddle_grid, tmp_path, capsys):
+        stencil = tmp_path / "inf.stn"
+        stencil.write_text("dim 2\nh 0.25\nscale 0\nterm 0 0  inf\n")
+        out = tmp_path / "o.grd"
+        assert main(["apply", "--stencil", str(stencil), "--grid", saddle_grid, "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "inf.stn:4" in err and err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestConvergenceCommand:

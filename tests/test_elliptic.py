@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from pardiff import elliptic
 from pardiff.elliptic import (
     FundamentalSolution,
+    _direct_potential,
     convergence_study,
     harnack_limit,
     harmonicity_residual,
@@ -139,6 +141,70 @@ class TestNewtonianPotential:
         far = newtonian_potential(fs, f, GridSpec((8.0, 0.0, 0.0), h, (1, 1, 1))).values[0, 0]
         assert abs(far) < abs(near)
         assert near == pytest.approx(mass * fs.radial(2.0), rel=0.02)
+
+
+def _target_points(spec):
+    return np.stack([m.reshape(-1) for m in spec.meshes()], axis=1)
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("the potential took the wrong path for these targets")
+
+
+SOURCE_2D = GridSpec((-1.0, -0.75), 0.125, (17, 13))
+SOURCE_3D = GridSpec((-1.0, -1.0, -0.75), 0.25, (9, 9, 7))
+
+# source grid, target origin in cells from the source origin, target extents
+ON_LATTICE = {
+    "2d-inside": (SOURCE_2D, (3, 2), (9, 7)),
+    "2d-overlapping": (SOURCE_2D, (10, -5), (12, 9)),
+    "2d-outside": (SOURCE_2D, (-30, 20), (5, 11)),
+    "2d-single-node": (SOURCE_2D, (8, 6), (1, 1)),
+    "3d-same-grid": (SOURCE_3D, (0, 0, 0), (9, 9, 7)),
+    "3d-overlapping": (SOURCE_3D, (5, -3, 2), (6, 4, 7)),
+    "3d-outside": (SOURCE_3D, (12, 0, -9), (3, 5, 2)),
+    "3d-single-node": (SOURCE_3D, (4, 4, 3), (1, 1, 1)),
+}
+
+
+class TestPotentialPaths:
+    @pytest.mark.parametrize("case", list(ON_LATTICE))
+    def test_fft_matches_direct_sum(self, case, monkeypatch):
+        spec, cells, extents = ON_LATTICE[case]
+        f = compact_poly_bump(spec, 0.6)
+        fs = FundamentalSolution(spec.dim)
+        origin = tuple(o + k * spec.h for o, k in zip(spec.origin, cells))
+        targets = GridSpec(origin, spec.h, extents)
+        reference = _direct_potential(fs, f, _target_points(targets), 8).reshape(extents)
+        monkeypatch.setattr(elliptic, "_direct_potential", _forbidden)
+        u = newtonian_potential(fs, f, targets).values
+        assert np.abs(u).max() > 0.0
+        assert np.abs(u - reference).max() <= 1e-13 * max(1.0, np.abs(u).max())
+
+    @pytest.mark.parametrize(
+        "targets",
+        [
+            GridSpec((-0.4375, -0.3125), 0.125, (6, 5)),  # half a cell off the lattice
+            GridSpec((-0.5, -0.3), 0.1, (7, 6)),  # another spacing; two nodes coincide
+        ],
+        ids=["half-cell-offset", "other-spacing"],
+    )
+    def test_off_lattice_targets_take_the_direct_sum(self, targets, monkeypatch):
+        f = compact_poly_bump(SOURCE_2D, 0.6)
+        fs = FundamentalSolution(2)
+        h = SOURCE_2D.h
+        monkeypatch.setattr(elliptic, "_hockney_potential", _forbidden)
+        u = newtonian_potential(fs, f, targets).values
+        sources = _target_points(SOURCE_2D)
+        weights = f.values.reshape(-1)
+        expected = np.zeros(targets.extents)
+        for index in np.ndindex(*targets.extents):
+            r = np.linalg.norm(np.asarray(targets.node(index)) - sources, axis=1)
+            near = r <= 1e-9 * h
+            kernel = np.full(r.shape, fs.cell_average(h, 8))
+            kernel[~near] = fs.radial(r[~near])
+            expected[index] = h * h * np.dot(kernel, weights)
+        assert np.abs(u - expected).max() <= 1e-13 * max(1.0, np.abs(u).max())
 
 
 class TestLaplaceSolver:

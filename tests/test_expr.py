@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -70,6 +72,32 @@ class TestParse:
 
     def test_power_binds_tighter_than_unary_minus(self):
         assert parse("-x1^2") == Neg(BinOp("^", Var(1), Num(2.0)))
+
+    @pytest.mark.parametrize("text, offset", [("1e999", 0), ("x1 + 2.5e400*x2", 5)])
+    def test_non_finite_literal_rejected(self, text, offset):
+        with pytest.raises(ExprSyntaxError, match="not finite") as err:
+            parse(text)
+        assert err.value.offset == offset
+
+    @pytest.mark.parametrize(
+        "text, offset",
+        [
+            ("(" * 1200 + "x1" + ")" * 1200, 100),
+            ("+".join(["x1"] * 1200), 299),
+            ("-" * 1200 + "x1", 100),
+            ("x1^" * 1200 + "x1", 300),
+            ("exp(" * 1200 + "x1" + ")" * 1200, 400),
+        ],
+        ids=["brackets", "sum", "signs", "powers", "calls"],
+    )
+    def test_deep_nesting_rejected(self, text, offset):
+        with pytest.raises(ExprSyntaxError, match="nested deeper than 100 levels") as err:
+            parse(text)
+        assert err.value.offset == offset
+
+    def test_nesting_at_the_limit_parses_and_evaluates(self):
+        assert evaluate(parse("(" * 99 + "x1" + ")" * 99), (3.0,)) == 3.0
+        assert evaluate(parse("+".join(["x1"] * 100)), (0.5,)) == 50.0
 
 
 class TestEvaluate:
@@ -199,7 +227,7 @@ LN_STENCIL = Stencil(1, 0.5, (StencilTerm((1,), parse("ln(x1)")),))
 class TestEvaluateNodes:
     def test_non_finite_without_scalar_cause(self):
         with pytest.raises(ExprEvalError) as err:
-            evaluate_nodes(parse("1e999"), LN_SPEC.meshes(), "sampling")
+            evaluate_nodes(Num(math.inf), LN_SPEC.meshes(), "sampling")
         assert str(err.value) == "sampling failed at node (0,): non-finite result at point (0.0,)"
 
     @pytest.mark.parametrize(

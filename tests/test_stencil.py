@@ -242,6 +242,17 @@ class TestApply:
         with pytest.raises(ValueError, match="non-integer"):
             s.apply(sample("1", GridSpec((0.0,), 1.0, (5,))))
 
+    @pytest.mark.parametrize("h, values", [(1e-200, "1"), (1e-150, "1e10*x1^2")])
+    def test_scaled_overflow_raises(self, h, values):
+        u = sample(values, GridSpec((0.0,), 1.0, (5,)))
+        u = GridFunction(GridSpec((0.0,), h, (5,)), u.values)
+        with pytest.raises(OverflowError, match="overflows"):
+            laplace_stencil(1, h, scaled=True).apply(u)
+
+    def test_non_finite_coefficient_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            StencilTerm((0,), math.inf)
+
     def test_coefficient_evaluation_failure_reports_node(self):
         spec = GridSpec((-1.0,), 1.0, (4,))
         s = Stencil(1, 1.0, (StencilTerm((1,), parse("1/x1")),))
@@ -374,6 +385,13 @@ class TestStencilFiles:
         path = tmp_path / "bad.stn"
         path.write_text('dim 1\nh 0.5\nscale 0\nterm 0  "x1+*2"\n')
         with pytest.raises(StencilFileError, match="bad.stn:4"):
+            load_stencil(str(path))
+
+    @pytest.mark.parametrize("coeff", ["inf", "-inf", "nan", "1e999"])
+    def test_non_finite_coefficient_reports_location(self, tmp_path, coeff):
+        path = tmp_path / "bad.stn"
+        path.write_text(f"dim 1\nh 0.5\nscale 0\nterm 1  1\nterm 0  {coeff}\n")
+        with pytest.raises(StencilFileError, match="bad.stn:5: coefficient must be finite"):
             load_stencil(str(path))
 
     def test_truncated_file(self, tmp_path):
