@@ -5,8 +5,11 @@ Boundary-value problems use the centered second-difference operator
     sum_a [u(x + h e_a) - 2 u(x) + u(x - h e_a)]
 
 with a red-black SOR iteration (relaxation factor from the model-problem
-optimum for the box).  The forward-shifted operator remains available through
-the stencil module for verification of the difference equations themselves.
+optimum for the box).  Each color is swept as strided sublattices, and the
+neighbour sums one half-sweep computes are reused for the residual and the
+next half-sweep, since they read only the other color.  The forward-shifted
+operator remains available through the stencil module for verification of
+the difference equations themselves.
 """
 
 from __future__ import annotations
@@ -272,6 +275,13 @@ def _sor_dirichlet(
     The boundary ring of ``boundary`` is held fixed; its interior is the
     initial guess.  The relaxation factor is the model-problem optimum
     ``2 / (1 + sin(pi h / L))`` with L the longest box side.
+
+    An interior node is red when the sum of its interior indices is even,
+    and each color is swept as strided sublattices, one per index parity.
+    Every neighbour of a node has the other color, so two half-grid
+    neighbour sums per iteration serve everything: black's serve the black
+    relaxation and the black residual, red's, taken after the black
+    relaxation, serve the red residual and the next red relaxation.
     """
     spec = boundary.spec
     n = spec.dim
@@ -289,21 +299,28 @@ def _sor_dirichlet(
         if rhs_values is None
         else (h * h) * rhs_values[interior]
     )
-    parity = np.indices(tuple(e - 2 for e in spec.extents)).sum(axis=0) % 2
-    colors = (parity == 0, parity == 1)
     length = max((e - 1) * h for e in spec.extents)
     omega = 2.0 / (1.0 + math.sin(math.pi * h / length))
-    two_n = 2.0 * n
+    # 0-d arrays: numpy combines them with arrays faster than Python floats
+    two_n, w, keep = np.array(2.0 * n), np.array(omega), np.array(1.0 - omega)
+    res = np.empty_like(b_int)
+    red, black = _color_sublattices(u, b_int, res)
+    for sub in red:
+        sub.neighbor_sum()
 
     iterations = 0
     best = math.inf
     for iterations in range(1, max_iter + 1):
-        for color in colors:
-            target = (_neighbor_sum(u) - b_int) / two_n
-            ui = u[interior]
-            ui[color] = (1.0 - omega) * ui[color] + omega * target[color]
-        res = _neighbor_sum(u) - two_n * u[interior] - b_int
-        best = float(np.abs(res).max()) * residual_scale
+        for sub in red:
+            sub.relax(two_n, w, keep)
+        for sub in black:
+            sub.neighbor_sum()
+            sub.relax(two_n, w, keep)
+        for sub in red:
+            sub.neighbor_sum()
+        for sub in red + black:
+            sub.residual(two_n)
+        best = float(np.abs(res, out=res).max()) * residual_scale
         if best <= tol:
             break
     return SolveReport(
@@ -312,6 +329,83 @@ def _sor_dirichlet(
         final_residual=best,
         converged=best <= tol,
     )
+
+
+_ZERO = np.array(0.0)
+
+
+class _Sublattice:
+    """The interior nodes ``1 + p + 2k`` of one index parity ``p``, as strided views.
+
+    ``u``, its 2n neighbour views and its slice of the residual are views
+    taken once.  The rows of ``buffers`` hold contiguous copies of its slice
+    of the scaled right-hand side ``b``, its neighbour sum ``ns`` and scratch
+    space.  Every step works elementwise in the order of the full-grid
+    formulas (``_neighbor_sum``, ``(ns - b) / 2n``, ``(1 - omega) u + omega
+    target``, ``ns - 2n u - b``), so the iterates are bit-for-bit those of a
+    full-grid sweep that updates one color through a boolean mask.
+    """
+
+    def __init__(
+        self,
+        u: np.ndarray,
+        b_int: np.ndarray,
+        res: np.ndarray,
+        parity: Sequence[int],
+        buffers: np.ndarray,
+    ):
+        own = [slice(1 + p, e - 1, 2) for p, e in zip(parity, u.shape)]
+        self.u = u[tuple(own)]
+        self.pairs = []
+        for a, (p, e) in enumerate(zip(parity, u.shape)):
+            up, dn = list(own), list(own)
+            up[a] = slice(2 + p, e, 2)
+            dn[a] = slice(p, e - 2, 2)
+            self.pairs.append((u[tuple(up)], u[tuple(dn)]))
+        inner = tuple(slice(p, None, 2) for p in parity)
+        self.res = res[inner]
+        self.b, self.ns, self.tmp = (row[: self.u.size].reshape(self.u.shape) for row in buffers)
+        self.b[...] = b_int[inner]
+
+    def neighbor_sum(self) -> None:
+        (up, dn), *rest = self.pairs
+        np.add(up, dn, out=self.ns)
+        # 0 + x, as when summing into zeros: turns a -0.0 sum into +0.0
+        self.ns += _ZERO
+        for up, dn in rest:
+            np.add(up, dn, out=self.tmp)
+            self.ns += self.tmp
+
+    def relax(self, two_n: np.ndarray, omega: np.ndarray, keep: np.ndarray) -> None:
+        """``u = keep u + omega (ns - b) / 2n``, with ``keep = 1 - omega``."""
+        t = np.subtract(self.ns, self.b, out=self.tmp)
+        t /= two_n
+        t *= omega
+        self.u *= keep
+        self.u += t
+
+    def residual(self, two_n: np.ndarray) -> None:
+        r = np.multiply(self.u, two_n, out=self.res)
+        np.subtract(self.ns, r, out=r)
+        r -= self.b
+
+
+def _color_sublattices(
+    u: np.ndarray, b_int: np.ndarray, res: np.ndarray
+) -> tuple[list[_Sublattice], list[_Sublattice]]:
+    """The nonempty sublattices of the red and of the black interior nodes."""
+    colors: tuple[list[_Sublattice], list[_Sublattice]] = ([], [])
+    # One allocation for all sublattices: an array per sublattice (about
+    # 128 KiB each at 257^2) fragmented the heap, and peak memory rose by
+    # about 1 MiB over a minute of repeated solves.
+    buffers = np.empty((3, res.size))
+    start = 0
+    for parity in np.ndindex(*([2] * u.ndim)):
+        sub = _Sublattice(u, b_int, res, parity, buffers[:, start:])
+        start += sub.u.size
+        if sub.u.size:
+            colors[sum(parity) % 2].append(sub)
+    return colors
 
 
 def solve_laplace_dirichlet(

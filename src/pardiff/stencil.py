@@ -74,19 +74,29 @@ class StencilTerm:
 
 
 def _merge_terms(terms: Sequence[StencilTerm]) -> tuple[StencilTerm, ...]:
-    """Collapse duplicate shifts: literals add numerically, expressions symbolically."""
-    merged: dict[tuple, ex.CoeffExpr] = {}
+    """Collapse duplicate shifts: leading literals add numerically, the rest symbolically.
+
+    The symbolic sum is balanced, so k duplicates deepen the coefficient's
+    syntax tree by ceil(log2 k) levels rather than k - 1.
+    """
+    merged: dict[tuple, list[ex.CoeffExpr]] = {}
     for term in terms:
-        key = term.shift
-        if key not in merged:
-            merged[key] = term.coeff
-            continue
-        old = merged[key]
-        if isinstance(old, ex.Num) and isinstance(term.coeff, ex.Num):
-            merged[key] = ex.Num(old.value + term.coeff.value)
+        coeffs = merged.setdefault(term.shift, [])
+        if len(coeffs) == 1 and isinstance(coeffs[0], ex.Num) and isinstance(term.coeff, ex.Num):
+            coeffs[0] = ex.Num(coeffs[0].value + term.coeff.value)
         else:
-            merged[key] = ex.BinOp("+", old, term.coeff)
-    return tuple(StencilTerm(shift, coeff) for shift, coeff in sorted(merged.items()))
+            coeffs.append(term.coeff)
+    return tuple(
+        StencilTerm(shift, _balanced_sum(coeffs)) for shift, coeffs in sorted(merged.items())
+    )
+
+
+def _balanced_sum(coeffs: Sequence[ex.CoeffExpr]) -> ex.CoeffExpr:
+    """The sum as a balanced tree; two or three terms nest as ``(a + b) + c``."""
+    if len(coeffs) == 1:
+        return coeffs[0]
+    mid = (len(coeffs) + 1) // 2
+    return ex.BinOp("+", _balanced_sum(coeffs[:mid]), _balanced_sum(coeffs[mid:]))
 
 
 @dataclass(frozen=True)

@@ -93,6 +93,20 @@ class TestApplyCommand:
         save_grid(sample("x1", spec), str(path))
         assert main(["apply", "--stencil", lap2, "--grid", str(path), "--output", str(tmp_path / "o.grd")]) == 1
 
+    def test_many_duplicate_expression_terms(self, tmp_path, capsys):
+        stencil = tmp_path / "dup.stn"
+        stencil.write_text("dim 1\nh 0.25\nscale 0\n" + 'term 0  "x1"\n' * 1200)
+        spec = GridSpec((-1.0,), 0.25, (9,))
+        grid = tmp_path / "u.grd"
+        save_grid(sample("1 + x1^2", spec), str(grid))
+        out = tmp_path / "o.grd"
+        assert main(["apply", "--stencil", str(stencil), "--grid", str(grid), "--output", str(out)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        result = load_grid(str(out)).values
+        x1 = spec.meshes()[0]
+        expected = 1200.0 * x1 * (1.0 + x1**2)
+        assert np.abs(result - expected).max() <= 1e-12 * max(1.0, np.abs(result).max())
+
 
 class TestSolveCommand:
     def test_laplace_solve_writes_solution_and_report(self, box_grid, tmp_path, capsys):

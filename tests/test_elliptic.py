@@ -328,6 +328,101 @@ class TestPoissonSolver:
         assert report.solution.values[1:-1, 1:-1].min() >= boundary_min - 1e-9
 
 
+def _masked_neighbor_sum(u):
+    n = u.ndim
+    s = np.zeros(tuple(e - 2 for e in u.shape))
+    for a in range(n):
+        up = [slice(1, -1)] * n
+        dn = [slice(1, -1)] * n
+        up[a] = slice(2, None)
+        dn[a] = slice(None, -2)
+        s += u[tuple(up)] + u[tuple(dn)]
+    return s
+
+
+def _masked_sor_reference(boundary, rhs_values, tol, max_iter, residual_scale):
+    """Red-black SOR as full-grid neighbour sums gathered through boolean colour masks.
+
+    This is the sweep the strided solver replaced; it returns
+    ``(values, iterations, final_residual, converged)``.
+    """
+    spec = boundary.spec
+    n = spec.dim
+    h = spec.h
+    u = boundary.values.copy()
+    interior = tuple(slice(1, -1) for _ in range(n))
+    b_int = (
+        np.zeros(tuple(e - 2 for e in spec.extents))
+        if rhs_values is None
+        else (h * h) * rhs_values[interior]
+    )
+    parity = np.indices(tuple(e - 2 for e in spec.extents)).sum(axis=0) % 2
+    colors = (parity == 0, parity == 1)
+    length = max((e - 1) * h for e in spec.extents)
+    omega = 2.0 / (1.0 + math.sin(math.pi * h / length))
+    two_n = 2.0 * n
+
+    iterations = 0
+    best = math.inf
+    for iterations in range(1, max_iter + 1):
+        for color in colors:
+            target = (_masked_neighbor_sum(u) - b_int) / two_n
+            ui = u[interior]
+            ui[color] = (1.0 - omega) * ui[color] + omega * target[color]
+        res = _masked_neighbor_sum(u) - two_n * u[interior] - b_int
+        best = float(np.abs(res).max()) * residual_scale
+        if best <= tol:
+            break
+    return u, iterations, best, best <= tol
+
+
+SWEEP_EXTENTS = [(3, 3), (5, 8), (9, 9), (4, 17), (3, 3, 3), (4, 5, 6), (9, 9, 9)]
+
+
+class TestSweepMatchesMaskedReference:
+    """The strided sweep reproduces the masked sweep bit for bit, signs of zero included."""
+
+    @pytest.mark.parametrize("extents", SWEEP_EXTENTS, ids=lambda e: "x".join(map(str, e)))
+    @pytest.mark.parametrize("ring", ["random", "negative-zero"])
+    @pytest.mark.parametrize("rhs", [False, True], ids=["laplace", "poisson"])
+    @pytest.mark.parametrize("max_iter", [1, 2, 3, 100_000])
+    def test_bitwise_identical(self, extents, ring, rhs, max_iter):
+        rng = np.random.default_rng(sum(extents) + 100 * len(extents))
+        spec = GridSpec((0.0,) * len(extents), 1 / 8, extents)
+        interior = tuple(slice(1, -1) for _ in extents)
+        if ring == "random":
+            values = rng.standard_normal(extents)
+            values[rng.random(extents) < 0.2] = -0.0
+            values[interior] = 0.0
+        else:
+            # -0.0 everywhere but on the red interior nodes: the masked sweep
+            # sums a red node's neighbours to +0.0, and with omega > 1 the
+            # relaxed +0.0 keeps its sign only if the neighbour sum has it.
+            values = np.full(extents, -0.0)
+            inner = values[interior]
+            inner[np.indices(inner.shape).sum(axis=0) % 2 == 0] = 0.0
+        boundary = GridFunction(spec, values)
+        tol = 1e-10
+        if rhs:
+            f = GridFunction(spec, rng.standard_normal(extents))
+            report = solve_poisson_dirichlet(f, boundary, tol=tol, max_iter=max_iter)
+            expected = _masked_sor_reference(
+                boundary, f.values, tol, max_iter, 1.0 / (spec.h * spec.h)
+            )
+        else:
+            report = solve_laplace_dirichlet(boundary, tol=tol, max_iter=max_iter)
+            expected = _masked_sor_reference(boundary, None, tol, max_iter, 1.0)
+        values, iterations, final_residual, converged = expected
+        got = report.solution.values
+        assert np.array_equal(got, values)
+        assert np.array_equal(np.signbit(got), np.signbit(values))
+        assert report.iterations == iterations
+        assert report.final_residual == final_residual
+        assert report.converged == converged
+        if max_iter == 100_000:
+            assert converged
+
+
 class TestBiharmonicSolver:
     def test_quadratic_exact_through_both_stages(self):
         spec = GridSpec((0.0, 0.0), 1 / 16, (17, 17))
