@@ -12,14 +12,12 @@ positive factor and is ignored.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
 
-from . import expr as ex
 from .grid import GridSpec
 from .stencil import Stencil
 
@@ -67,20 +65,25 @@ class ClassificationReport:
     counts: dict[str, int]
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def _coefficient_stack(s: Stencil, probe: GridSpec) -> np.ndarray:
+    """The (m, n, n) coefficient matrices at the probe's m nodes, in row-major node order."""
+    if probe.dim != s.dim:
+        raise ValueError(f"probe dimension {probe.dim} does not match stencil {s.dim}")
+    entries = np.zeros((probe.node_count, s.dim, s.dim))
+    for t, gamma in s.coefficients(probe):
+        rho = np.asarray(t.shift, dtype=float)
+        entries += np.reshape(gamma, (-1, 1, 1)) * np.outer(rho, rho)
+    if not np.isfinite(entries).all():
+        raise OverflowError("coefficient matrices overflow")
+    return entries
+
+
 def coefficient_matrix(s: Stencil, x: Sequence[float]) -> CoefficientMatrix:
-    """Assemble the symmetric coefficient matrix of ``s`` at the point ``x``."""
+    """The symmetric coefficient matrix of ``s`` at ``x``: a one-node probe at ``x``."""
     point = tuple(float(v) for v in x)
-    if len(point) != s.dim:
-        raise ValueError(f"point has dimension {len(point)}, stencil has {s.dim}")
-    coeffs = [ex.evaluate(t.coeff, point) for t in s.terms]
-    n = s.dim
-    entries = np.zeros((n, n))
-    for k in range(n):
-        for l in range(k, n):
-            a = math.fsum(t.shift[k] * t.shift[l] * g for t, g in zip(s.terms, coeffs))
-            entries[k, l] = a
-            entries[l, k] = a
-    return CoefficientMatrix(n, entries, point)
+    probe = GridSpec(point, 1.0, (1,) * len(point))
+    return CoefficientMatrix(s.dim, _coefficient_stack(s, probe)[0], point)
 
 
 def eigen_symmetric(matrix: Union[CoefficientMatrix, np.ndarray]) -> np.ndarray:
@@ -100,6 +103,8 @@ def eigen_symmetric(matrix: Union[CoefficientMatrix, np.ndarray]) -> np.ndarray:
 
 def _labels(eigenvalues: np.ndarray, tol: float) -> tuple[str, ...]:
     """Label each row of an (m, n) eigenvalue array against tol * max(1, |lambda|max)."""
+    if not np.isfinite(eigenvalues).all():
+        raise OverflowError("coefficient matrix eigenvalues overflow")
     threshold = tol * np.maximum(1.0, np.abs(eigenvalues).max(axis=1, keepdims=True))
     positive = eigenvalues > threshold
     negative = eigenvalues < -threshold
@@ -120,20 +125,8 @@ def classify_region(s: Stencil, probe: GridSpec, tol: float = DEFAULT_TOL) -> Cl
     """Classify at every node of a probe grid (pointwise sampling)."""
     if tol <= 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    if probe.dim != s.dim:
-        raise ValueError(f"probe dimension {probe.dim} does not match stencil {s.dim}")
-    meshes = probe.meshes()
-    points = np.stack([m.reshape(-1) for m in meshes], axis=1)
-    # Vectorized coefficient evaluation per term, then the rank-1 accumulation.
-    entries = np.zeros((points.shape[0], s.dim, s.dim))
-    for t in s.terms:
-        c = t.constant
-        if c is not None:
-            gamma = c
-        else:
-            gamma = ex.evaluate_nodes(t.coeff, meshes, "coefficient evaluation").reshape(-1, 1, 1)
-        rho = np.asarray(t.shift, dtype=float)
-        entries += gamma * np.outer(rho, rho)
+    points = np.stack([m.reshape(-1) for m in probe.meshes()], axis=1)
+    entries = _coefficient_stack(s, probe)
     eigenvalues = np.linalg.eigvalsh(entries)
     labels = _labels(eigenvalues, tol)
     return ClassificationReport(points, eigenvalues, labels, tol, dict(Counter(labels)))

@@ -7,6 +7,8 @@ temporary name and renamed on success, never left half-written.
 
 Exit codes: 0 success, 1 input or parse error, 2 numerical failure
 (non-convergence, coefficient evaluation failure or floating-point overflow).
+Commands run with numpy's overflow, invalid and divide errors raised, so a
+numerical failure ends in one ``error:`` line rather than a warning.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .classify import DEFAULT_TOL, classify_at, classify_region, coefficient_matrix, eigen_symmetric
+from .classify import DEFAULT_TOL, classify_region
 from .elliptic import (
     FundamentalSolution,
     SolveReport,
@@ -80,12 +82,6 @@ def _save_grid_atomic(u: GridFunction, path: str) -> None:
     _atomic_write(path, grid_file_text(u))
 
 
-def _classify_header(dim: int) -> str:
-    coords = ",".join(f"x{k}" for k in range(1, dim + 1))
-    lambdas = ",".join(f"lambda{k}" for k in range(1, dim + 1))
-    return f"{coords},{lambdas},label"
-
-
 def _cmd_classify(args) -> int:
     if args.tol <= 0.0:
         raise _UsageError(f"--tol must be positive, got {args.tol}")
@@ -93,19 +89,16 @@ def _cmd_classify(args) -> int:
     if args.at is not None:
         if len(args.at) != s.dim:
             raise _UsageError(f"--at needs {s.dim} coordinates")
-        eig = eigen_symmetric(coefficient_matrix(s, args.at))
-        rows = [(args.at, eig, classify_at(s, args.at, args.tol))]
+        probe = GridSpec(tuple(args.at), 1.0, (1,) * s.dim)
     else:
         if args.probe_origin is None or args.probe_h is None or args.probe_extents is None:
             raise _UsageError("classify needs --at or all of --probe-origin/--probe-h/--probe-extents")
         probe = GridSpec(tuple(args.probe_origin), args.probe_h, tuple(args.probe_extents))
-        report = classify_region(s, probe, args.tol)
-        rows = zip(report.points, report.eigenvalues, report.labels)
-    lines = [_classify_header(s.dim)]
-    for point, eig, label in rows:
-        lines.append(
-            ",".join([_fmt(v) for v in point] + [_fmt(v) for v in eig] + [label])
-        )
+    report = classify_region(s, probe, args.tol)
+    axes = range(1, s.dim + 1)
+    lines = [",".join([f"x{k}" for k in axes] + [f"lambda{k}" for k in axes] + ["label"])]
+    for point, eig, label in zip(report.points, report.eigenvalues, report.labels):
+        lines.append(",".join([_fmt(v) for v in (*point, *eig)] + [label]))
     _emit("\n".join(lines) + "\n", args.output)
     return 0
 
@@ -316,13 +309,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.func(args)
     except SystemExit as exc:  # --help / --version
         return int(exc.code or 0)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (_NumericalFailure, ExprEvalError, MollifierError, OverflowError) as exc:
+    except (_NumericalFailure, ExprEvalError, MollifierError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ExprSyntaxError, GridFileError, StencilFileError, OSError, ValueError) as exc:

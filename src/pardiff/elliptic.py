@@ -426,6 +426,8 @@ def solve_poisson_dirichlet(
     if f.spec != boundary.spec:
         raise ValueError("right-hand side and boundary data must share one grid")
     h = boundary.spec.h
+    if h * h == 0.0 or math.isinf(1.0 / (h * h)):
+        raise OverflowError(f"scale factor h^(-2) overflows at h = {h!r}")
     return _sor_dirichlet(boundary, f.values, tol, max_iter, 1.0 / (h * h))
 
 

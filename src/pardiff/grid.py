@@ -56,6 +56,9 @@ class GridSpec:
             raise ValueError(f"grid spacing must be positive and finite, got {self.h}")
         if any(e < 1 for e in self.extents):
             raise ValueError(f"every extent must be at least 1, got {self.extents}")
+        corner = tuple(o + self.h * (e - 1) for o, e in zip(self.origin, self.extents))
+        if not all(math.isfinite(v) for v in self.origin + corner):
+            raise ValueError(f"grid nodes must be finite: origin {self.origin}, corner {corner}")
 
     @property
     def dim(self) -> int:

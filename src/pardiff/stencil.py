@@ -16,12 +16,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
 from . import expr as ex
-from .grid import GridFunction, _content_lines, _header_fields, norm, restrict
+from .grid import GridFunction, GridSpec, _content_lines, _header_fields, norm, restrict
 
 __all__ = [
     "StencilTerm",
@@ -83,7 +83,10 @@ def _merge_terms(terms: Sequence[StencilTerm]) -> tuple[StencilTerm, ...]:
     for term in terms:
         coeffs = merged.setdefault(term.shift, [])
         if len(coeffs) == 1 and isinstance(coeffs[0], ex.Num) and isinstance(term.coeff, ex.Num):
-            coeffs[0] = ex.Num(coeffs[0].value + term.coeff.value)
+            total = coeffs[0].value + term.coeff.value
+            if not math.isfinite(total):
+                raise ValueError(f"literal coefficients at shift {term.shift} sum to {total}")
+            coeffs[0] = ex.Num(total)
         else:
             coeffs.append(term.coeff)
     return tuple(
@@ -136,6 +139,17 @@ class Stencil:
         """True when every shift entry is an integer (required for apply)."""
         return all(isinstance(v, int) for t in self.terms for v in t.shift)
 
+    def coefficients(self, spec: GridSpec) -> Iterator[tuple[StencilTerm, float | np.ndarray]]:
+        """Each term with its coefficient on ``spec``: the literal or an evaluate_nodes array."""
+        meshes = None
+        for t in self.terms:
+            c = t.constant
+            if c is None:
+                if meshes is None:
+                    meshes = spec.meshes()
+                c = ex.evaluate_nodes(t.coeff, meshes, "coefficient evaluation")
+            yield t, c
+
     @np.errstate(over="ignore", invalid="ignore")
     def apply(self, u: GridFunction) -> GridFunction:
         """Apply the operator on the sub-grid where every shift stays in-grid.
@@ -163,19 +177,11 @@ class Stencil:
                 "empty valid region: the grid is too small for the stencil's shifts"
             ) from None
         out = np.zeros(out_spec.extents)
-        meshes = None
-        for t in self.terms:
+        for t, c in self.coefficients(out_spec):
             window = tuple(
                 slice(l + s, l + s + e) for l, s, e in zip(lo, t.shift, out_spec.extents)
             )
-            shifted = u.values[window]
-            c = t.constant
-            if c is not None:
-                out += c * shifted
-            else:
-                if meshes is None:
-                    meshes = out_spec.meshes()
-                out += ex.evaluate_nodes(t.coeff, meshes, "coefficient evaluation") * shifted
+            out += c * u.values[window]
         if self.scale_exp:
             try:
                 out *= self.h ** (-self.scale_exp)

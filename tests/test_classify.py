@@ -200,6 +200,21 @@ class TestClassifyRegion:
         report = classify_region(s, GridSpec((0.0, 0.0), 1.0, (2, 2)))
         assert (np.diff(report.eigenvalues, axis=1) >= 0).all()
 
+    @pytest.mark.parametrize(
+        "terms, what",
+        [
+            ((((1, 1), 1e308), ((1, -1), 1e307)), "eigenvalues overflow"),
+            ((((2, 0), 1e308),), "coefficient matrices overflow"),
+        ],
+        ids=["eigenvalues", "entries"],
+    )
+    def test_overflow_raises_at_points_and_over_probes(self, terms, what):
+        s = make_stencil(2, terms)
+        with pytest.raises(OverflowError, match=what):
+            classify_region(s, GridSpec((0.0, 0.0), 1.0, (2, 2)))
+        with pytest.raises(OverflowError, match=what):
+            classify_at(s, (0.0, 0.0))
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             classify_region(laplace_stencil(2, 1.0), GridSpec((0.0,), 1.0, (3,)))

@@ -78,6 +78,42 @@ class TestClassifyCommand:
     def test_missing_file_exits_1(self, tmp_path):
         assert main(["classify", "--stencil", str(tmp_path / "nope.stn"), "--at", "0", "0"]) == 1
 
+    def test_non_finite_point_exits_1(self, lap2, capsys):
+        assert main(["classify", "--stencil", lap2, "--at", "nan", "0.5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_eigenvalue_overflow_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "huge.stn"
+        path.write_text("dim 2\nh 1\nscale 0\nterm 1 1  1e308\n")
+        assert main(["classify", "--stencil", str(path), "--at", "0", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "overflow" in captured.err
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_point_is_a_one_node_probe(self, tmp_path, capsys, dim):
+        path = tmp_path / "s.stn"
+        path.write_text(f"dim {dim}\nh 1\nscale 0\n" + ONE_NODE_PROBE_TERMS[dim])
+        rng = np.random.default_rng(80 + dim)
+        for _ in range(100):
+            x = [repr(float(v)) for v in rng.uniform(-0.9, 0.9, size=dim)]
+            assert main(["classify", "--stencil", str(path), "--at", *x]) == 0
+            at = capsys.readouterr().out
+            probe = ["--probe-origin", *x, "--probe-h", "1", "--probe-extents", *["1"] * dim]
+            assert main(["classify", "--stencil", str(path), *probe]) == 0
+            assert capsys.readouterr().out == at
+
+
+ONE_NODE_PROBE_TERMS = {
+    2: 'term 2 0  "exp(x1)"\nterm 1 0  "-2*exp(x1)"\nterm 0 2  "ln(x2 + 3)"\n'
+    'term 1 1  "(x1 + 2)^1.5"\nterm 1 -1  "exp(x2)*ln(x1 + 3)"\nterm 0 0  "x1^3 - exp(x2)"\n',
+    3: 'term 2 0 0  "exp(x1)"\nterm 0 2 0  "ln(x2 + 3)"\nterm 0 0 2  "(x3 + 2)^0.7"\n'
+    'term 1 1 0  "exp(x3)*ln(x1 + 3)"\nterm 0 1 -1  "(x1 + 2)^x2"\nterm 1 0 1  "-exp(x2 - x3)"\n',
+}
+
 
 class TestApplyCommand:
     def test_applies_and_writes_grid(self, lap2, saddle_grid, tmp_path):
@@ -245,6 +281,21 @@ class TestSolveCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "operator, data, spacing",
+        [("laplace", "--boundary=1e308", "0.25"), ("poisson", "--rhs=1", "1e-300")],
+        ids=["sweep", "scale"],
+    )
+    def test_overflow_exits_2_with_one_error_line(self, tmp_path, capsys, operator, data, spacing):
+        grid = tmp_path / "g.grd"
+        grid.write_text(f"dim 2\norigin 0 0\nh {spacing}\nextents 5 5\n" + "0\n" * 25)
+        out = tmp_path / "u.grd"
+        args = ["solve", operator, "--grid", str(grid), data, "--max-iter", "50", "--output", str(out)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "overflow" in err and err.count("\n") == 1
+        assert not out.exists()
+
     def test_laplace_rejects_rhs(self, box_grid, tmp_path):
         code = main(
             [
@@ -342,6 +393,35 @@ class TestPotentialCommand:
         assert main(["potential", "--source", str(src), "--output", str(tmp_path / "o.grd")]) == 1
 
 
+class TestNonFiniteGridNodes:
+    @pytest.mark.parametrize(
+        "origin, h", [("inf 0", "0.25"), ("0 nan", "0.25"), ("0 0", "1e308")],
+        ids=["inf-origin", "nan-origin", "overflowing-corner"],
+    )
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["potential", "--source", "{grid}", "--output", "{out}"],
+            ["verify", "--grid", "{grid}", "--output", "{out}"],
+            ["solve", "laplace", "--grid", "{grid}", "--boundary", "x1", "--output", "{out}"],
+        ],
+        ids=["potential", "verify", "solve"],
+    )
+    def test_exits_1_naming_the_file(self, tmp_path, capsys, origin, h, command):
+        grid = tmp_path / "far.grd"
+        values = np.zeros((5, 5))
+        values[2, 2] = 1.0
+        grid.write_text(
+            f"dim 2\norigin {origin}\nh {h}\nextents 5 5\n"
+            + "".join(f"{v}\n" for v in values.reshape(-1))
+        )
+        out = tmp_path / "o.out"
+        assert main([a.format(grid=grid, out=out) for a in command]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {grid}: grid nodes must be finite") and err.count("\n") == 1
+        assert not out.exists()
+
+
 class TestVerifyCommand:
     def test_harmonic_grid_passes(self, saddle_grid, capsys):
         assert main(["verify", "--grid", saddle_grid, "--operator", "laplace"]) == 0
@@ -368,6 +448,15 @@ class TestVerifyCommand:
         assert main(["verify", "--grid", str(grid), "--scaled", "--output", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "overflows" in err and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_overflowing_duplicate_literals_exit_1(self, saddle_grid, tmp_path, capsys):
+        stencil = tmp_path / "big.stn"
+        stencil.write_text("dim 2\nh 0.25\nscale 0\nterm 0 0  1e308\nterm 0 0  1e308\n")
+        out = tmp_path / "o.grd"
+        assert main(["apply", "--stencil", str(stencil), "--grid", saddle_grid, "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "shift (0, 0)" in err and err.count("\n") == 1
         assert not out.exists()
 
     def test_non_finite_stencil_coefficient_exits_1(self, saddle_grid, tmp_path, capsys):

@@ -32,6 +32,16 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec((0.0, 0.0), 1.0, (3,))
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_origin_rejected(self, bad):
+        with pytest.raises(ValueError, match="grid nodes must be finite: origin"):
+            GridSpec((0.0, bad), 1.0, (3, 3))
+
+    def test_overflowing_far_corner_rejected(self):
+        assert GridSpec((0.0,), 1e308, (2,)).meshes()[0][-1] == 1e308
+        with pytest.raises(ValueError, match=r"corner \(inf,\)"):
+            GridSpec((0.0,), 1e308, (3,))
+
 
 class TestGridFunction:
     def test_accepts_flat_row_major_values(self):
@@ -196,4 +206,11 @@ class TestGridFiles:
         path = tmp_path / "bad.grd"
         path.write_text("dim 1\norigin 0\nh 1\nextents 2\n1\nnope\n")
         with pytest.raises(GridFileError, match="bad.grd:6"):
+            load_grid(str(path))
+
+    @pytest.mark.parametrize("origin", ["inf 0", "0 nan"])
+    def test_non_finite_origin_reports_file(self, tmp_path, origin):
+        path = tmp_path / "far.grd"
+        path.write_text(f"dim 2\norigin {origin}\nh 1\nextents 1 2\n0\n0\n")
+        with pytest.raises(GridFileError, match="far.grd: grid nodes must be finite: origin"):
             load_grid(str(path))

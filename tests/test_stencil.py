@@ -394,6 +394,12 @@ class TestStencilFiles:
         with pytest.raises(StencilFileError, match="bad.stn:5: coefficient must be finite"):
             load_stencil(str(path))
 
+    def test_overflowing_duplicate_literals_name_the_shift(self, tmp_path):
+        path = tmp_path / "big.stn"
+        path.write_text("dim 2\nh 0.5\nscale 0\nterm 1 0  1\nterm 0 1  1e308\nterm 0 1  1e308\n")
+        with pytest.raises(StencilFileError, match=r"big.stn: literal coefficients at shift \(0, 1\)"):
+            load_stencil(str(path))
+
     def test_truncated_file(self, tmp_path):
         path = tmp_path / "t.stn"
         path.write_text("dim 1\nh 0.5\n")
