@@ -50,6 +50,7 @@ from .mollify import (
     derivative_commute,
     l1_convergence,
     make_mollifier,
+    mollifier_for,
 )
 from .stencil import (
     Stencil,
@@ -97,6 +98,7 @@ __all__ = [
     "MollifierKernel",
     "bump",
     "make_mollifier",
+    "mollifier_for",
     "convolve",
     "l1_convergence",
     "derivative_commute",

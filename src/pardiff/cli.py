@@ -35,7 +35,7 @@ from .elliptic import (
 )
 from .expr import ExprEvalError, ExprSyntaxError, parse as parse_expr
 from .grid import GridFileError, GridFunction, GridSpec, grid_file_text, load_grid, sample
-from .mollify import MollifierError, convolve, make_mollifier
+from .mollify import MollifierError, convolve, mollifier_for
 from .stencil import StencilFileError, biharmonic_stencil, laplace_stencil, load_stencil, residual
 
 __all__ = ["main"]
@@ -163,7 +163,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_mollify(args) -> int:
     u = load_grid(args.grid)
-    kernel = make_mollifier(u.spec.dim, args.eps, u.spec.h, args.refine)
+    kernel = mollifier_for(u.spec, args.eps, args.refine)
     smoothed = convolve(u, kernel)
     _save_grid_atomic(smoothed, args.output)
     kv = kernel.samples.values

@@ -21,7 +21,9 @@ from typing import Sequence, Union
 import numpy as np
 
 from .expr import CoeffExpr, parse
-from .grid import GridFunction, GridSpec, Margins, _normalize_margins, sample, shrink
+from .grid import (
+    GridFunction, GridSpec, Margins, _normalize_margins, _valid_convolve, sample, shrink
+)
 from .stencil import laplace_stencil
 
 __all__ = [
@@ -169,28 +171,20 @@ def _hockney_potential(
     """The lattice sum for targets ``offset`` cells from the source origin, by FFT.
 
     Target node t sees source node s at displacement ``offset + t - s``, so
-    the sum is a linear convolution of the source with the kernel tabulated
-    on displacements ``offset - (Ns-1) ... offset + Nt - 1`` per axis.  A
-    cyclic convolution of length ``Ns + Nt - 1`` wraps around only below
-    index ``Ns - 1``, outside the window read back.
+    the sum is the valid convolution of the source with the kernel tabulated
+    on displacements ``offset - (Ns-1) ... offset + Nt - 1`` per axis; that
+    table's extent ``Ns + Nt - 1`` is never below the source's ``Ns``.
     """
-    n = fs.dim
     h = source.spec.h
     src_extents = source.spec.extents
-    shape = tuple(s + t - 1 for s, t in zip(src_extents, target_extents))
     displacements = np.ix_(
         *(h * np.arange(o - s + 1, o + t) for o, s, t in zip(offset, src_extents, target_extents))
     )
     table = _kernel_of_squared_distance(fs, sum(d * d for d in displacements))
     zero = tuple(s - 1 - o for o, s in zip(offset, src_extents))
-    if all(0 <= z < length for z, length in zip(zero, shape)):
+    if all(0 <= z < length for z, length in zip(zero, table.shape)):
         table[zero] = fs.cell_average(h, singular_subdivisions)
-    axes = tuple(range(n))
-    spectrum = np.fft.rfftn(table, shape, axes=axes)
-    spectrum *= np.fft.rfftn(source.values, shape, axes=axes)
-    full = np.fft.irfftn(spectrum, shape, axes=axes)
-    window = tuple(slice(s - 1, s - 1 + t) for s, t in zip(src_extents, target_extents))
-    return h**n * full[window]
+    return h**fs.dim * _valid_convolve(table, source.values)
 
 
 def _direct_potential(

@@ -327,9 +327,7 @@ def _eval_array(e: CoeffExpr, coords: list[np.ndarray]):
         return e.value
     if isinstance(e, Var):
         if e.index > len(coords):
-            raise ExprEvalError(
-                f"expression uses x{e.index} but the grid has dimension {len(coords)}"
-            )
+            raise ExprError(f"expression uses x{e.index} but the grid has dimension {len(coords)}")
         return coords[e.index - 1]
     if isinstance(e, Neg):
         return -_eval_array(e.operand, coords)
@@ -356,6 +354,7 @@ def evaluate_arrays(e: CoeffExpr, coords: Sequence[np.ndarray]) -> np.ndarray:
 
     Domain errors surface as non-finite entries rather than exceptions;
     :func:`evaluate_nodes` turns them into an error naming the failing node.
+    A variable beyond the given coordinates is an input error, :class:`ExprError`.
     """
     arrays = [np.asarray(c, dtype=float) for c in coords]
     if not arrays:

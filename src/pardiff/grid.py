@@ -182,6 +182,29 @@ def restrict(u: GridFunction, spec: GridSpec) -> GridFunction:
     return GridFunction(spec, u.values[window])
 
 
+def _valid_convolve(a: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """``out[m] = sum_j k[j] a[m + K-1 - j]`` wherever every tap of ``k`` lies inside ``a``.
+
+    One cyclic FFT convolution on ``a``'s shape: its wrap-around lands below
+    index ``K-1``, outside the window read back.  Where no nonzero of ``k``
+    meets a nonzero of ``a`` the result is an exact 0; the same convolution of
+    the two nonzero indicators counts the pairs that meet, and integer counts
+    make ``count < 0.5`` an exact test.  Both operands are scaled to a largest
+    magnitude in [1/2, 1) by powers of two, which leaves every rounding as it
+    is and keeps the FFT's sums finite for data near the overflow threshold.
+    """
+    shape, axes = a.shape, tuple(range(a.ndim))
+    ea, ek = (np.frexp(np.abs(x).max())[1] for x in (a, k))
+    out, count = (
+        np.fft.irfftn(np.fft.rfftn(x, shape, axes) * np.fft.rfftn(y, shape, axes), shape, axes)
+        for x, y in ((np.ldexp(a, -ea), np.ldexp(k, -ek)), (a != 0.0, k != 0.0))
+    )
+    window = tuple(slice(ks - 1, None) for ks in k.shape)
+    out = np.ldexp(out[window], ea + ek)
+    out[count[window] < 0.5] = 0.0
+    return out
+
+
 def grid_file_text(u: GridFunction) -> str:
     """The grid file serialization: header lines then one value per line."""
     spec = u.spec

@@ -14,13 +14,14 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .grid import GridFunction, GridSpec, norm, restrict, shrink
+from .grid import GridFunction, GridSpec, _valid_convolve, restrict
 
 __all__ = [
     "MollifierKernel",
     "MollifierError",
     "bump",
     "make_mollifier",
+    "mollifier_for",
     "convolve",
     "l1_convergence",
     "derivative_commute",
@@ -29,6 +30,13 @@ __all__ = [
 
 class MollifierError(ValueError):
     """Raised when a kernel cannot be constructed or applied as requested."""
+
+
+# Largest normalization quadrature, panels**dim points: in 2-D each temporary
+# plane then stays within 32 MiB, in 3-D the plane loop within 161 passes.
+MAX_QUADRATURE_POINTS = 2**22
+
+_EMPTY_REGION = "empty valid region: the grid does not contain the kernel support"
 
 
 def bump(s: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
@@ -82,11 +90,17 @@ def _profile_box_integral(dim: int, panels: int) -> float:
     return total * (2.0 / panels) ** dim
 
 
+def _radius_cells(eps: float, spacing: float) -> float:
+    """Nodes from the kernel center to its support edge; inf when ``eps / spacing`` overflows."""
+    return float(np.ceil(eps / spacing - 1e-12))
+
+
 def make_mollifier(dim: int, eps: float, spacing: float, refine: int = 8) -> MollifierKernel:
     """Build a kernel of support radius ``eps`` sampled at pitch ``spacing``.
 
     ``refine`` is the number of quadrature subsamples per lattice cell used
-    for the normalization integral.  The discrete mass is renormalized to
+    for the normalization integral, whose ``panels**dim`` points may not
+    exceed ``MAX_QUADRATURE_POINTS``.  The discrete mass is renormalized to
     exactly 1; a pre-normalization mass off by more than 10% means the lattice
     under-resolves the kernel and is an error, as is ``eps < spacing``.
     """
@@ -103,10 +117,15 @@ def make_mollifier(dim: int, eps: float, spacing: float, refine: int = 8) -> Mol
             f"support radius {eps} is below the lattice pitch {spacing}: "
             "the kernel would be sub-resolved"
         )
-    panels = int(math.ceil(2.0 * eps * refine / spacing - 1e-12))
-    normalization = _profile_box_integral(dim, panels)
+    panels = 2.0 * eps * refine / spacing - 1e-12  # inf when it overflows
+    if not panels <= MAX_QUADRATURE_POINTS or math.ceil(panels) ** dim > MAX_QUADRATURE_POINTS:
+        raise MollifierError(
+            f"normalization quadrature of {panels:.4g} panels per axis in {dim}-D exceeds "
+            f"{MAX_QUADRATURE_POINTS} points: lower refine"
+        )
+    normalization = _profile_box_integral(dim, math.ceil(panels))
 
-    r = int(math.ceil(eps / spacing - 1e-12))
+    r = int(_radius_cells(eps, spacing))
     axis = np.arange(-r, r + 1) * spacing
     meshes = np.meshgrid(*([axis] * dim), indexing="ij")
     s2 = sum((m / eps) ** 2 for m in meshes)
@@ -132,23 +151,16 @@ def make_mollifier(dim: int, eps: float, spacing: float, refine: int = 8) -> Mol
     )
 
 
-def _lattice_convolve(f_values: np.ndarray, kernel: np.ndarray, weight: float) -> np.ndarray:
-    """Valid-region convolution sum ``out[m] = weight * sum_j k[j] f[m + K-1 - j]``."""
-    out_shape = tuple(fs - ks + 1 for fs, ks in zip(f_values.shape, kernel.shape))
-    if any(e < 1 for e in out_shape):
-        raise MollifierError("empty valid region: the grid does not contain the kernel support")
-    out = np.zeros(out_shape)
-    for idx in np.ndindex(kernel.shape):
-        c = kernel[idx]
-        if c == 0.0:
-            continue
-        window = tuple(
-            slice(ks - 1 - i, ks - 1 - i + e)
-            for i, ks, e in zip(idx, kernel.shape, out_shape)
-        )
-        out += c * f_values[window]
-    out *= weight
-    return out
+def mollifier_for(spec: GridSpec, eps: float, refine: int = 8) -> MollifierKernel:
+    """:func:`make_mollifier` for smoothing functions on ``spec``.
+
+    A kernel whose ``2 r + 1`` nodes per axis do not fit inside the grid is
+    refused before anything is built.
+    """
+    # a non-finite eps is left to make_mollifier's own argument checks
+    if math.isfinite(eps) and 2.0 * _radius_cells(eps, spec.h) + 1.0 > min(spec.extents):
+        raise MollifierError(_EMPTY_REGION)
+    return make_mollifier(spec.dim, eps, spec.h, refine)
 
 
 def convolve(f: GridFunction, kernel: MollifierKernel) -> GridFunction:
@@ -164,11 +176,12 @@ def convolve(f: GridFunction, kernel: MollifierKernel) -> GridFunction:
         raise MollifierError(
             f"kernel pitch {kernel.spacing} does not match grid spacing {spec.h}"
         )
-    h = spec.h
-    out = _lattice_convolve(f.values, kernel.samples.values, h**spec.dim)
+    kv = kernel.samples.values
+    if any(fs < ks for fs, ks in zip(f.values.shape, kv.shape)):
+        raise MollifierError(_EMPTY_REGION)
     r = kernel.radius_cells
     out_spec = spec.shrunk([r] * spec.dim, [r] * spec.dim)
-    return GridFunction(out_spec, out)
+    return GridFunction(out_spec, spec.h**spec.dim * _valid_convolve(f.values, kv))
 
 
 def l1_convergence(
@@ -187,7 +200,7 @@ def l1_convergence(
         raise ValueError(f"support radii must be positive, got {radii}")
     if any(a <= b for a, b in zip(radii, radii[1:])):
         raise ValueError(f"eps_list must be strictly descending, got {radii}")
-    kernels = [make_mollifier(f.spec.dim, e, f.spec.h, refine) for e in radii]
+    kernels = [mollifier_for(f.spec, e, refine) for e in radii]
     smoothed = [convolve(f, k) for k in kernels]
     common = smoothed[0].spec  # widest kernel shrinks the most
     f_common = restrict(f, common)
@@ -231,7 +244,5 @@ def derivative_commute(f: GridFunction, kernel: MollifierKernel, axis: int) -> f
     lo[a] = slice(None, -2)
     dk = (kp[tuple(hi)] - kp[tuple(lo)]) / (2.0 * h)
 
-    side_b = _lattice_convolve(f.values, dk, h**dim)
-    if side_a.shape != side_b.shape:
-        raise MollifierError("insufficient margin for the centered difference")
+    side_b = h**dim * _valid_convolve(f.values, dk)
     return float(np.abs(side_a - side_b).max())

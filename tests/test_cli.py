@@ -143,6 +143,15 @@ class TestApplyCommand:
         expected = 1200.0 * x1 * (1.0 + x1**2)
         assert np.abs(result - expected).max() <= 1e-12 * max(1.0, np.abs(result).max())
 
+    def test_coefficient_beyond_grid_dimension_exits_1(self, saddle_grid, tmp_path, capsys):
+        stencil = tmp_path / "x3.stn"
+        stencil.write_text('dim 2\nh 0.25\nscale 0\nterm 0 0  "x3"\nterm 1 0  1\n')
+        out = tmp_path / "o.grd"
+        assert main(["apply", "--stencil", str(stencil), "--grid", saddle_grid, "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "x3" in err and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestSolveCommand:
     def test_laplace_solve_writes_solution_and_report(self, box_grid, tmp_path, capsys):
@@ -281,6 +290,14 @@ class TestSolveCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_boundary_beyond_grid_dimension_exits_1(self, box_grid, tmp_path, capsys):
+        out = tmp_path / "s.grd"
+        code = main(["solve", "laplace", "--grid", box_grid, "--boundary", "x3", "--output", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: expression uses x3 but the grid has dimension 2\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "operator, data, spacing",
         [("laplace", "--boundary=1e308", "0.25"), ("poisson", "--rhs=1", "1e-300")],
@@ -370,6 +387,15 @@ class TestMollifyCommand:
         save_grid(sample("x1", spec), str(grid))
         code = main(["mollify", "--grid", str(grid), "--eps", "0.1", "--output", str(tmp_path / "o.grd")])
         assert code == 2
+
+    def test_kernel_wider_than_grid_refused_before_it_is_built(self, tmp_path, capsys):
+        grid = tmp_path / "f.grd"
+        grid.write_text("dim 2\norigin 0 0\nh 1\nextents 5 5\n" + "0\n" * 25)
+        out = tmp_path / "o.grd"
+        assert main(["mollify", "--grid", str(grid), "--eps", "1e6", "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: empty valid region: the grid does not contain the kernel support\n"
+        assert not out.exists()
 
 
 class TestPotentialCommand:

@@ -4,9 +4,11 @@ Whatever the input, ``pardiff.cli.main`` must return 0, 1 or 2, write at
 most one ``error:`` line and no traceback to stderr, leave no ``.pardiff-*``
 temporary file behind, and write no output file when it fails.  Grids and
 probes stay at most 5 nodes per axis and solves at most 200 iterations, so
-every example runs in milliseconds.  ``mollify`` and ``convergence`` are
-left out: their kernel and grid sizes grow as ``eps / h`` and ``1 / h``, so
-a fuzzed spacing could ask for any amount of memory.
+every example runs in milliseconds.  ``mollify`` refuses a kernel wider
+than its grid and a normalization quadrature above its point limit before
+building either, so its ``--eps`` and ``--refine`` are fuzzed too.
+``convergence`` is left out: its grid sizes grow as ``1 / h``, so a fuzzed
+spacing could ask for any amount of memory.
 """
 
 import contextlib
@@ -112,6 +114,8 @@ def jobs(draw):
          "--max-iter", "200", "--output", "{out}"],
         ["verify", "--grid", "{grid}", "--scaled", f"--rhs={expression}", "--output", "{out}"],
         ["potential", "--source", "{grid}", "--output", "{out}"],
+        ["mollify", "--grid", "{grid}", "--eps", draw(NUMBERS), "--refine", draw(SMALL_INTS),
+         "--output", "{out}"],
     ]))
     return grid, stencil, argv
 

@@ -3,14 +3,17 @@ import math
 import numpy as np
 import pytest
 
+import pardiff.mollify as mollify_module
 from pardiff.grid import GridFunction, GridSpec, restrict, sample, shrink
 from pardiff.mollify import (
+    MAX_QUADRATURE_POINTS,
     MollifierError,
     bump,
     convolve,
     derivative_commute,
     l1_convergence,
     make_mollifier,
+    mollifier_for,
 )
 
 # Normalization integral of the profile over [-1, 1], frozen from a
@@ -82,6 +85,38 @@ class TestMakeMollifier:
     def test_refine_validation(self):
         with pytest.raises(ValueError):
             make_mollifier(1, 0.25, 0.05, refine=0)
+
+    @pytest.mark.parametrize(
+        "dim,eps,spacing,refine",
+        [(3, 1.0, 1.0, 81), (2, 1.0, 1.0, 10**9), (2, 1e300, 1e-10, 8)],
+        ids=["162-cubed", "huge-refine", "overflowing-panels"],
+    )
+    def test_quadrature_above_the_point_limit_refused(self, dim, eps, spacing, refine):
+        assert 161**3 <= MAX_QUADRATURE_POINTS < 162**3
+        with pytest.raises(MollifierError, match="quadrature"):
+            make_mollifier(dim, eps, spacing, refine)
+
+
+class TestMollifierFor:
+    def test_builds_the_kernel_of_make_mollifier(self):
+        spec = GridSpec((0.0, 0.0), 1 / 8, (9, 9))
+        a = mollifier_for(spec, 0.5, 4)
+        b = make_mollifier(2, 0.5, 1 / 8, 4)
+        assert np.array_equal(a.samples.values, b.samples.values)
+
+    @pytest.mark.parametrize(
+        "h,extents,eps",
+        [(1 / 8, (9, 8), 0.5), (1.0, (5, 5), 1e6), (1e-300, (5, 5), 1e10)],
+        ids=["one-node-short", "wide", "eps-over-h-overflows"],
+    )
+    def test_kernel_wider_than_the_grid_refused(self, h, extents, eps):
+        with pytest.raises(MollifierError, match="empty valid region"):
+            mollifier_for(GridSpec((0.0, 0.0), h, extents), eps)
+
+    @pytest.mark.parametrize("eps", [math.inf, math.nan, -1.0])
+    def test_bad_radius_is_an_argument_error(self, eps):
+        with pytest.raises(ValueError, match="support radius must be positive"):
+            mollifier_for(GridSpec((0.0,), 0.1, (5,)), eps)
 
 
 class TestConvolve:
@@ -225,3 +260,107 @@ class TestDerivativeCommute:
         k = make_mollifier(1, 0.3, 0.1, 8)
         with pytest.raises(MollifierError):
             derivative_commute(f, k, 1)
+
+
+def lattice_convolve_reference(f_values, kernel, weight):
+    """The tap loop the FFT convolution replaced: ``weight * sum_j k[j] f[m + K-1 - j]``."""
+    out_shape = tuple(fs - ks + 1 for fs, ks in zip(f_values.shape, kernel.shape))
+    out = np.zeros(out_shape)
+    for idx in np.ndindex(kernel.shape):
+        c = kernel[idx]
+        if c == 0.0:
+            continue
+        window = tuple(
+            slice(ks - 1 - i, ks - 1 - i + e) for i, ks, e in zip(idx, kernel.shape, out_shape)
+        )
+        out += c * f_values[window]
+    out *= weight
+    return out
+
+
+def assert_matches_tap_loop(out, f_values, kernel, weight):
+    """Within ``1e-13 * weight * sum|k| * max|f|`` of the tap loop, and exactly 0
+    wherever no nonzero tap meets a nonzero value."""
+    reference = lattice_convolve_reference(f_values, kernel, weight)
+    assert out.shape == reference.shape
+    bound = 1e-13 * weight * np.abs(kernel).sum() * np.abs(f_values).max()
+    assert np.abs(out - reference).max() <= bound
+    pairs = lattice_convolve_reference(
+        (f_values != 0.0).astype(float), (kernel != 0.0).astype(float), 1.0
+    )
+    assert np.all(out[pairs == 0.0] == 0.0)
+
+
+class TestFFTConvolutionAgainstTapLoop:
+    CASES = [
+        ((40,), 0.1, 0.3, 1.0),
+        ((60,), 0.1, 0.5, 0.1),
+        ((25, 31), 1 / 8, 0.25, 1.0),
+        ((33, 29), 1 / 8, 0.25, 0.05),
+        ((30, 27), 1 / 16, 0.5, 0.002),
+        ((13, 11, 12), 1 / 8, 0.25, 1.0),
+        ((14, 12, 13), 1 / 8, 0.375, 0.02),
+    ]
+
+    @staticmethod
+    def grid(extents, h, density, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal(extents) * 10.0 ** rng.uniform(-3, 3)
+        values *= rng.random(extents) < density  # sparse data keeps -0.0 among its zeros
+        return GridFunction(GridSpec((0.0,) * len(extents), h, extents), values)
+
+    @pytest.mark.parametrize("extents,h,eps,density", CASES)
+    def test_convolve(self, extents, h, eps, density):
+        k = make_mollifier(len(extents), eps, h, 4)
+        kv = k.samples.values
+        assert (kv == 0.0).any()  # the bump vanishes on the support edge and corners
+        for seed in range(3):
+            f = self.grid(extents, h, density, seed)
+            out = convolve(f, k).values
+            assert_matches_tap_loop(out, f.values, kv, h ** len(extents))
+
+    @pytest.mark.parametrize("extents,h,eps,density", CASES)
+    def test_derivative_commute_sides(self, extents, h, eps, density, monkeypatch):
+        calls = []
+        primitive = mollify_module._valid_convolve
+
+        def spy(a, k):
+            out = primitive(a, k)
+            calls.append((a, k, out))
+            return out
+
+        monkeypatch.setattr(mollify_module, "_valid_convolve", spy)
+        k = make_mollifier(len(extents), eps, h, 4)
+        f = self.grid(extents, h, density, 11)
+        for axis in range(1, len(extents) + 1):
+            calls.clear()
+            derivative_commute(f, k, axis)
+            assert [c[1].shape for c in calls] == [
+                k.samples.values.shape,
+                tuple(s + 2 * (a == axis - 1) for a, s in enumerate(k.samples.values.shape)),
+            ]
+            for a_values, kernel, out in calls:
+                assert_matches_tap_loop(out, a_values, kernel, 1.0)
+
+    def test_single_spike_leaves_exact_zeros_outside_the_kernel(self):
+        values = np.zeros((41, 41))
+        values[20, 20] = 1.0
+        f = GridFunction(GridSpec((-1.25, -1.25), 1 / 16, (41, 41)), values)
+        k = make_mollifier(2, 0.5, 1 / 16, 4)
+        out = convolve(f, k).values
+        # the spike is at node (12, 12) of the output; the kernel reaches 8 nodes from it
+        inside = np.zeros(out.shape, dtype=bool)
+        inside[4:21, 4:21] = k.samples.values != 0.0
+        assert np.all(out[~inside] == 0.0) and np.all(out[inside] > 0.0)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_data_near_the_overflow_threshold(self, dim):
+        # every node times the whole kernel mass stays finite, but the sums an
+        # unscaled FFT forms over the grid would not
+        extents = (9,) * dim
+        rng = np.random.default_rng(dim)
+        f = GridFunction(GridSpec((0.0,) * dim, 1.0, extents), rng.uniform(0.5, 1.5, extents) * 1e308)
+        k = make_mollifier(dim, 2.0, 1.0, 4)
+        with np.errstate(over="raise", invalid="raise"):
+            out = convolve(f, k).values
+        assert_matches_tap_loop(out, f.values, k.samples.values, 1.0)
