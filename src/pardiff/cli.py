@@ -1,9 +1,11 @@
 """Batch front-end: classify, apply, solve, mollify, potential, verify, convergence.
 
-Results go to files or standard output, diagnostics to standard error.  CSV
-output uses a fixed header per subcommand and 17-significant-digit floats, so
-identical inputs produce byte-identical output.  Files are written to a
-temporary name and renamed on success, never left half-written.
+This module parses arguments, lays out CSV and maps exceptions to exit codes;
+everything else lives in the library.  Results go to files or standard
+output, diagnostics to standard error.  CSV output uses a fixed header per
+subcommand and 17-significant-digit floats, so identical inputs produce
+byte-identical output.  Files are written through ``grid._atomic_write``,
+never left half-written.
 
 Exit codes: 0 success, 1 input or parse error, 2 numerical failure
 (non-convergence, coefficient evaluation failure or floating-point overflow).
@@ -14,10 +16,9 @@ numerical failure ends in one ``error:`` line rather than a warning.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-import tempfile
 import time
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -25,7 +26,6 @@ from . import __version__
 from .classify import DEFAULT_TOL, classify_region
 from .elliptic import (
     FundamentalSolution,
-    SolveReport,
     convergence_study,
     max_principle_check,
     newtonian_potential,
@@ -33,15 +33,18 @@ from .elliptic import (
     solve_laplace_dirichlet,
     solve_poisson_dirichlet,
 )
-from .expr import ExprEvalError, ExprSyntaxError, parse as parse_expr
-from .grid import GridFileError, GridFunction, GridSpec, grid_file_text, load_grid, sample
+from .expr import ExprEvalError, parse as parse_expr
+from .grid import GridFunction, GridSpec, _atomic_write, load_grid, sample, save_grid
 from .mollify import MollifierError, convolve, mollifier_for
-from .stencil import StencilFileError, biharmonic_stencil, laplace_stencil, load_stencil, residual
+from .stencil import biharmonic_stencil, laplace_stencil, load_stencil, residual
 
 __all__ = ["main"]
 
+# Options whose value is an expression, which may start with "-".
+_EXPRESSION_OPTIONS = ("--boundary", "--rhs", "--lap-boundary", "--reference")
 
-class _UsageError(Exception):
+
+class _UsageError(ValueError):
     pass
 
 
@@ -54,37 +57,19 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
-
-
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".pardiff-")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _emit(text: str, output: str | None) -> None:
+def _emit_csv(header: str, rows: Iterable[Sequence], output: str | None) -> None:
+    """The header line then one line per row: text as is, numbers in ``.17g``."""
+    lines = [header]
+    for row in rows:
+        lines.append(",".join(v if isinstance(v, str) else format(float(v), ".17g") for v in row))
+    text = "\n".join(lines) + "\n"
     if output is None:
         sys.stdout.write(text)
     else:
         _atomic_write(output, text)
 
 
-def _save_grid_atomic(u: GridFunction, path: str) -> None:
-    _atomic_write(path, grid_file_text(u))
-
-
 def _cmd_classify(args) -> int:
-    if args.tol <= 0.0:
-        raise _UsageError(f"--tol must be positive, got {args.tol}")
     s = load_stencil(args.stencil)
     if args.at is not None:
         if len(args.at) != s.dim:
@@ -96,28 +81,17 @@ def _cmd_classify(args) -> int:
         probe = GridSpec(tuple(args.probe_origin), args.probe_h, tuple(args.probe_extents))
     report = classify_region(s, probe, args.tol)
     axes = range(1, s.dim + 1)
-    lines = [",".join([f"x{k}" for k in axes] + [f"lambda{k}" for k in axes] + ["label"])]
-    for point, eig, label in zip(report.points, report.eigenvalues, report.labels):
-        lines.append(",".join([_fmt(v) for v in (*point, *eig)] + [label]))
-    _emit("\n".join(lines) + "\n", args.output)
+    rows = zip(report.points, report.eigenvalues, report.labels)
+    header = ",".join([f"x{k}" for k in axes] + [f"lambda{k}" for k in axes] + ["label"])
+    _emit_csv(header, [[*point, *eig, label] for point, eig, label in rows], args.output)
     return 0
 
 
 def _cmd_apply(args) -> int:
     s = load_stencil(args.stencil)
     u = load_grid(args.grid)
-    result = s.apply(u)
-    _save_grid_atomic(result, args.output)
+    save_grid(s.apply(u), args.output)
     return 0
-
-
-def _report_lines(operator: str, report: SolveReport) -> str:
-    lines = [
-        "operator,iterations,final_residual,converged",
-        f"{operator},{report.iterations},{_fmt(report.final_residual)},"
-        f"{'true' if report.converged else 'false'}",
-    ]
-    return "\n".join(lines) + "\n"
 
 
 def _cmd_solve(args) -> int:
@@ -156,27 +130,24 @@ def _cmd_solve(args) -> int:
             f"solve {args.operator} did not converge within {args.max_iter} iterations "
             f"(best residual {report.final_residual:.3e})"
         )
-    _save_grid_atomic(report.solution, args.output)
-    _emit(_report_lines(args.operator, report), args.report)
+    save_grid(report.solution, args.output)
+    _emit_csv(
+        "operator,iterations,final_residual,converged",
+        [[args.operator, report.iterations, report.final_residual, "true"]],
+        args.report,
+    )
     return 0
 
 
 def _cmd_mollify(args) -> int:
     u = load_grid(args.grid)
     kernel = mollifier_for(u.spec, args.eps, args.refine)
-    smoothed = convolve(u, kernel)
-    _save_grid_atomic(smoothed, args.output)
-    kv = kernel.samples.values
-    meshes = kernel.samples.spec.meshes()
-    radius = np.sqrt(sum(m * m for m in meshes))
-    nonzero = kv != 0.0
-    support_radius = float(radius[nonzero].max()) if nonzero.any() else 0.0
-    symmetry = float(np.abs(kv - kv[tuple(slice(None, None, -1) for _ in range(kv.ndim))]).max())
-    lines = [
+    save_grid(convolve(u, kernel), args.output)
+    _emit_csv(
         "mass,support_radius,symmetry_deviation",
-        f"{_fmt(kernel.mass)},{_fmt(support_radius)},{_fmt(symmetry)}",
-    ]
-    _emit("\n".join(lines) + "\n", args.report)
+        [[kernel.mass, kernel.support_radius, kernel.symmetry_deviation]],
+        args.report,
+    )
     return 0
 
 
@@ -184,30 +155,26 @@ def _cmd_potential(args) -> int:
     source = load_grid(args.source)
     targets = load_grid(args.targets).spec if args.targets else source.spec
     fs = FundamentalSolution(source.spec.dim)
-    u = newtonian_potential(fs, source, targets)
-    _save_grid_atomic(u, args.output)
+    save_grid(newtonian_potential(fs, source, targets), args.output)
     return 0
 
 
 def _cmd_verify(args) -> int:
     u = load_grid(args.grid)
-    dim, h = u.spec.dim, u.spec.h
-    if args.operator == "laplace":
-        s = laplace_stencil(dim, h, scaled=args.scaled)
-    else:
-        s = biharmonic_stencil(dim, h, scaled=args.scaled)
+    stencil = laplace_stencil if args.operator == "laplace" else biharmonic_stencil
+    s = stencil(u.spec.dim, u.spec.h, scaled=args.scaled)
     if args.rhs:
         rhs = sample(parse_expr(args.rhs), u.spec)
     else:
         rhs = GridFunction(u.spec, np.zeros(u.spec.extents))
     l1, linf = residual(s, u, rhs)
-    passed, witness = max_principle_check(u)
-    lines = [
+    passed, _ = max_principle_check(u)
+    scaled = "true" if args.scaled else "false"
+    _emit_csv(
         "operator,scaled,residual_l1,residual_linf,max_principle",
-        f"{args.operator},{'true' if args.scaled else 'false'},{_fmt(l1)},{_fmt(linf)},"
-        f"{'pass' if passed else 'fail'}",
-    ]
-    _emit("\n".join(lines) + "\n", args.output)
+        [[args.operator, scaled, l1, linf, "pass" if passed else "fail"]],
+        args.output,
+    )
     return 0
 
 
@@ -224,11 +191,12 @@ def _cmd_convergence(args) -> int:
     )
     if not rows[-1].converged:
         raise _NumericalFailure(f"solve at h={rows[-1].h} did not converge")
-    lines = ["h,error,observed_order"]
-    for row in rows:
-        order = "exact" if row.exact else "" if row.order is None else _fmt(row.order)
-        lines.append(f"{_fmt(row.h)},{_fmt(row.error)},{order}")
-    _emit("\n".join(lines) + "\n", args.output)
+    _emit_csv(
+        "h,error,observed_order",
+        [[row.h, row.error, "exact" if row.exact else "" if row.order is None else row.order]
+         for row in rows],
+        args.output,
+    )
     return 0
 
 
@@ -305,21 +273,28 @@ def _build_parser() -> _ArgumentParser:
     return parser
 
 
+def _join_expression_options(argv: Iterable[str]) -> Iterator[str]:
+    """``--rhs VALUE`` as ``--rhs=VALUE``, so argparse takes a VALUE that starts with "-"."""
+    tokens = iter(argv)
+    for token in tokens:
+        value = next(tokens, None) if token in _EXPRESSION_OPTIONS else None
+        yield token if value is None else f"{token}={value}"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_expression_options(sys.argv[1:] if argv is None else argv))
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return args.func(args)
     except SystemExit as exc:  # --help / --version
         return int(exc.code or 0)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (_NumericalFailure, ExprEvalError, MollifierError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ExprSyntaxError, GridFileError, StencilFileError, OSError, ValueError) as exc:
+    # Usage, syntax, file-format and size errors are all ValueErrors, as are the
+    # two exit-2 errors above; those are caught first.
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -22,7 +22,8 @@ import numpy as np
 
 from .expr import CoeffExpr, parse
 from .grid import (
-    GridFunction, GridSpec, Margins, _normalize_margins, _valid_convolve, sample, shrink
+    MAX_NODES, GridFunction, GridSpec, Margins, _lattice_offset, _normalize_margins,
+    _valid_convolve, sample, shrink,
 )
 from .stencil import laplace_stencil
 
@@ -108,9 +109,8 @@ def newtonian_potential(
     source node) contributes the cell average of the kernel instead of the
     singular point value.  The source must vanish on its grid boundary layer.
 
-    Targets on the source lattice (the same spacing to 1e-12 relative, and
-    an origin a whole number of cells from the source origin, to 1e-9 cells)
-    see a translation-invariant kernel, so the sum is a zero-padded discrete
+    Targets on the source lattice (``grid._lattice_offset``) see a
+    translation-invariant kernel, so the sum is a zero-padded discrete
     convolution evaluated by FFT (Hockney's free-space method).  Any other
     targets take the direct pairwise sum.
     """
@@ -147,18 +147,6 @@ def _kernel_of_squared_distance(fs: FundamentalSolution, d2: np.ndarray) -> np.n
             vals = d2 ** ((2.0 - n) / 2.0)
             vals *= -1.0 / ((n - 2.0) * fs.unit_sphere_area)
     return vals
-
-
-def _lattice_offset(source: GridSpec, targets: GridSpec) -> tuple[int, ...] | None:
-    """Whole-cell offset of the target origin from the source origin, or None off-lattice."""
-    h = source.h
-    if not math.isclose(targets.h, h, rel_tol=1e-12):
-        return None
-    cells = [(t - s) / h for t, s in zip(targets.origin, source.origin)]
-    offset = tuple(round(c) for c in cells)
-    if any(abs(c - k) > 1e-9 for c, k in zip(cells, offset)):
-        return None
-    return offset
 
 
 def _hockney_potential(
@@ -699,7 +687,7 @@ def convergence_study(
     ``origin + [0, length]`` per axis with the reference as boundary data.
     Non-convergence is reported, not raised: the study stops after the first
     spacing whose solve does not converge, and that row has ``converged``
-    False.
+    False.  Every grid is checked against the node limit before any solve.
     """
     if len(h_list) < 2:
         raise ValueError("convergence study needs at least 2 spacings")
@@ -709,11 +697,17 @@ def convergence_study(
     rhs_expr = parse(rhs) if rhs else None
     if problem == "poisson" and rhs_expr is None:
         raise ValueError("a poisson study needs --rhs")
-    rows: list[ConvergenceRow] = []
+    if not all(v > 0.0 and math.isfinite(v) for v in (length, *h_list)):
+        raise ValueError(f"length {length} and spacings {list(h_list)} must be positive and finite")
+    specs = []
     for h in h_list:
-        h = float(h)
-        extents = tuple(int(round(length / h)) + 1 for _ in origin)
-        spec = GridSpec(origin, h, extents)
+        cells = length / h  # inf when it overflows
+        if not cells < MAX_NODES:
+            raise ValueError(f"spacing {h} puts more than {MAX_NODES} nodes on a side of {length}")
+        specs.append(GridSpec(origin, h, (round(cells) + 1,) * len(origin)))
+    rows: list[ConvergenceRow] = []
+    for spec in specs:
+        h = spec.h
         g = sample(ref, spec)
         if problem == "laplace":
             report = solve_laplace_dirichlet(g, tol, max_iter)

@@ -8,6 +8,8 @@ index varies fastest), the same order used by the grid file format.
 from __future__ import annotations
 
 import math
+import os
+import tempfile
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -28,6 +30,9 @@ __all__ = [
 ]
 
 Margins = Union[int, Sequence[Sequence[int]]]
+
+# Largest grid, in nodes: 4096^2 or 256^3, one 128 MiB array of doubles.
+MAX_NODES = 2**24
 
 
 class GridFileError(ValueError):
@@ -56,6 +61,8 @@ class GridSpec:
             raise ValueError(f"grid spacing must be positive and finite, got {self.h}")
         if any(e < 1 for e in self.extents):
             raise ValueError(f"every extent must be at least 1, got {self.extents}")
+        if self.node_count > MAX_NODES:
+            raise ValueError(f"grid of {self.node_count} nodes exceeds the limit of {MAX_NODES}")
         corner = tuple(o + self.h * (e - 1) for o, e in zip(self.origin, self.extents))
         if not all(math.isfinite(v) for v in self.origin + corner):
             raise ValueError(f"grid nodes must be finite: origin {self.origin}, corner {corner}")
@@ -66,7 +73,7 @@ class GridSpec:
 
     @property
     def node_count(self) -> int:
-        return int(np.prod(self.extents))
+        return math.prod(self.extents)
 
     def axis_coords(self, axis: int) -> np.ndarray:
         """Node coordinates along a 0-based axis."""
@@ -160,26 +167,32 @@ def shrink(u: GridFunction, margins: Margins) -> GridFunction:
 
 
 def restrict(u: GridFunction, spec: GridSpec) -> GridFunction:
-    """Extract the sub-grid of ``u`` that coincides with ``spec``.
-
-    The target must lie on the same lattice: equal spacing and an integral
-    node offset per axis.
-    """
+    """Extract the sub-grid of ``u`` that coincides with ``spec``, on the same lattice."""
     if u.spec.dim != spec.dim:
         raise ValueError("incompatible specs: dimensions differ")
-    if not math.isclose(u.spec.h, spec.h, rel_tol=1e-12):
-        raise ValueError(f"incompatible specs: spacings {u.spec.h} and {spec.h} differ")
-    offsets = []
-    for a in range(spec.dim):
-        shift = (spec.origin[a] - u.spec.origin[a]) / u.spec.h
-        k = round(shift)
-        if abs(shift - k) > 1e-9:
-            raise ValueError(f"incompatible specs: axis {a} offset {shift} is not integral")
-        if k < 0 or k + spec.extents[a] > u.spec.extents[a]:
+    offsets = _lattice_offset(u.spec, spec)
+    if offsets is None:
+        raise ValueError(f"incompatible specs: {spec} is off the lattice of {u.spec}")
+    for a, (k, e) in enumerate(zip(offsets, spec.extents)):
+        if k < 0 or k + e > u.spec.extents[a]:
             raise ValueError(f"incompatible specs: axis {a} window exits the grid")
-        offsets.append(k)
     window = tuple(slice(k, k + e) for k, e in zip(offsets, spec.extents))
     return GridFunction(spec, u.values[window])
+
+
+def _lattice_offset(source: GridSpec, target: GridSpec) -> tuple[int, ...] | None:
+    """Whole-cell offset of the target origin from the source origin; None off the lattice.
+
+    On it, the spacings agree to 1e-12 relative and each offset lies within
+    1e-9 cells of a whole number.
+    """
+    if not math.isclose(target.h, source.h, rel_tol=1e-12):
+        return None
+    cells = [(t - s) / source.h for t, s in zip(target.origin, source.origin)]
+    offset = tuple(round(c) for c in cells)
+    if any(abs(c - k) > 1e-9 for c, k in zip(cells, offset)):
+        return None
+    return offset
 
 
 def _valid_convolve(a: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -218,10 +231,26 @@ def grid_file_text(u: GridFunction) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _atomic_write(path: str, text: str) -> None:
+    """Write ``text`` to a new ``.pardiff-*`` file beside ``path``, then rename it onto ``path``.
+
+    ``O_EXCL`` refuses a name that already exists, and mode 0o666 lets the umask
+    set the permissions, as for ``open(path, "w")``.
+    """
+    tmp = tempfile.mktemp(prefix=".pardiff-", dir=os.path.dirname(os.path.abspath(path)))
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def save_grid(u: GridFunction, path: str) -> None:
-    """Write the line-oriented grid file format (header then one value per line)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(grid_file_text(u))
+    """Write the line-oriented grid file format (header then one value per line), atomically."""
+    _atomic_write(path, grid_file_text(u))
 
 
 def _content_lines(path: str) -> list[tuple[int, str]]:

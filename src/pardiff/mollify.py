@@ -73,6 +73,18 @@ class MollifierKernel:
         """Nodes from the center to the support edge along one axis."""
         return (self.samples.spec.extents[0] - 1) // 2
 
+    @property
+    def support_radius(self) -> float:
+        """Largest distance from the center of a nonzero sample; at most ``eps``."""
+        radius = np.sqrt(sum(m * m for m in self.samples.spec.meshes()))
+        return float(radius.max(initial=0.0, where=self.samples.values != 0.0))
+
+    @property
+    def symmetry_deviation(self) -> float:
+        """Largest ``|k(x) - k(-x)|`` over the samples; 0 for an even kernel."""
+        kv = self.samples.values
+        return float(np.abs(kv - np.flip(kv)).max())
+
 
 def _profile_box_integral(dim: int, panels: int) -> float:
     """Midpoint tensor quadrature of bump(|x|^2) over [-1, 1]^dim."""

@@ -21,7 +21,9 @@ from typing import Iterator, Sequence, Union
 import numpy as np
 
 from . import expr as ex
-from .grid import GridFunction, GridSpec, _content_lines, _header_fields, norm, restrict
+from .grid import (
+    GridFunction, GridSpec, _atomic_write, _content_lines, _header_fields, norm, restrict
+)
 
 __all__ = [
     "StencilTerm",
@@ -201,19 +203,15 @@ def axis_difference(dim: int, axis: int, order: int, h: float) -> Stencil:
 
     First order is ``u(x + h*e_axis) - u(x)``; higher orders iterate it, which
     yields binomial coefficients ``(-1)^(order-j) * C(order, j)`` at shift
-    ``j * e_axis``.
+    ``j * e_axis``: the mixed difference with one nonzero order.
     """
     if not 1 <= axis <= dim:
         raise ValueError(f"axis {axis} out of range for dimension {dim}")
     if order < 1:
         raise ValueError(f"difference order must be at least 1, got {order}")
-    terms = []
-    for j in range(order + 1):
-        shift = [0] * dim
-        shift[axis - 1] = j
-        sign = 1.0 if (order - j) % 2 == 0 else -1.0
-        terms.append(StencilTerm(tuple(shift), sign * math.comb(order, j)))
-    return Stencil(dim, h, tuple(terms))
+    orders = [0] * dim
+    orders[axis - 1] = order
+    return mixed_difference(dim, orders, h)
 
 
 def mixed_difference(dim: int, orders: Sequence[int], h: float) -> Stencil:
@@ -237,8 +235,6 @@ def mixed_difference(dim: int, orders: Sequence[int], h: float) -> Stencil:
 
 def laplace_stencil(dim: int, h: float, scaled: bool = False) -> Stencil:
     """Sum of forward second differences over all axes; ``scaled`` adds h^(-2)."""
-    if dim < 1:
-        raise ValueError("dimension must be at least 1")
     terms: list[StencilTerm] = []
     for axis in range(1, dim + 1):
         terms.extend(axis_difference(dim, axis, 2, h).terms)
@@ -246,23 +242,17 @@ def laplace_stencil(dim: int, h: float, scaled: bool = False) -> Stencil:
 
 
 def biharmonic_stencil(dim: int, h: float, scaled: bool = False) -> Stencil:
-    """Fourth differences per axis plus all ordered cross second-second terms.
+    """The square of the forward-difference Laplacian; ``scaled`` adds h^(-4).
 
-    This is the square of the forward-difference Laplacian; ``scaled`` adds
-    the h^(-4) factor.
+    Each ordered axis pair (i, j) adds the second difference along i composed
+    with the one along j; ``i == j`` gives the fourth difference per axis.
     """
-    if dim < 1:
-        raise ValueError("dimension must be at least 1")
     terms: list[StencilTerm] = []
-    for axis in range(1, dim + 1):
-        terms.extend(axis_difference(dim, axis, 4, h).terms)
     for i in range(dim):
         for j in range(dim):
-            if i == j:
-                continue
             orders = [0] * dim
-            orders[i] = 2
-            orders[j] = 2
+            orders[i] += 2
+            orders[j] += 2
             terms.extend(mixed_difference(dim, orders, h).terms)
     return Stencil(dim, h, tuple(terms), scale_exp=4 if scaled else 0)
 
@@ -276,15 +266,14 @@ def residual(s: Stencil, u: GridFunction, rhs: GridFunction) -> tuple[float, flo
 
 
 def save_stencil(s: Stencil, path: str) -> None:
-    """Write the line-oriented stencil file format."""
+    """Write the line-oriented stencil file format, atomically (see ``save_grid``)."""
     lines = [f"dim {s.dim}", f"h {format(s.h, '.17g')}", f"scale {s.scale_exp}"]
     for t in s.terms:
         shift = " ".join(str(v) for v in t.shift)
         c = t.constant
         coeff = format(c, ".17g") if c is not None else f'"{ex.to_string(t.coeff)}"'
         lines.append(f"term {shift}  {coeff}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _atomic_write(path, "\n".join(lines) + "\n")
 
 
 def load_stencil(path: str) -> Stencil:

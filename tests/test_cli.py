@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -613,6 +615,80 @@ class TestConvergenceCommand:
             ]
         )
         assert code == 1
+
+
+class TestExpressionOptionLeadingMinus:
+    @pytest.mark.parametrize(
+        "argv, option, value",
+        [
+            (["solve", "laplace", "--grid", "{grid}"], "--boundary", "-x1*x2"),
+            (["solve", "poisson", "--grid", "{grid}"], "--rhs", "-2*sin(x1)"),
+            (["solve", "biharmonic", "--grid", "{grid}", "--boundary", "x1^2+x2^2"],
+             "--lap-boundary", "-2*2"),
+            (["convergence", "--problem", "laplace", "--h", "0.5", "0.25", "--origin", "0", "0",
+              "--length", "1"], "--reference", "-x1*x2"),
+        ],
+        ids=["boundary", "rhs", "lap-boundary", "reference"],
+    )
+    def test_space_form_equals_equals_form(self, box_grid, tmp_path, capsys, argv, option, value):
+        results = []
+        for form in ([option, value], [f"{option}={value}"]):
+            out = tmp_path / "out"
+            code = main([a.format(grid=box_grid) for a in argv] + form + ["--output", str(out)])
+            results.append((code, capsys.readouterr().out, out.read_bytes()))
+            out.unlink()
+        assert results[0][0] == 0
+        assert results[0] == results[1]
+
+    def test_option_without_value_is_a_usage_error(self, box_grid, tmp_path, capsys):
+        out = tmp_path / "o.grd"
+        assert main(["solve", "poisson", "--grid", box_grid, "--output", str(out), "--rhs"]) == 1
+        assert capsys.readouterr().err == "error: argument --rhs: expected one argument\n"
+        assert not out.exists()
+
+
+class TestNodeLimit:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "--stencil", "{stencil}", "--probe-origin", "0", "0", "--probe-h", "1",
+             "--probe-extents", "1000000000", "1000000000", "--output", "{out}"],
+            ["convergence", "--problem", "laplace", "--reference", "x1", "--h", "0.5",
+             "0.000000001", "--origin", "0", "0", "--length", "1", "--output", "{out}"],
+            ["convergence", "--problem", "laplace", "--reference", "x1", "--h", "0.5", "0",
+             "--origin", "0", "0", "--length", "1", "--output", "{out}"],
+            ["convergence", "--problem", "laplace", "--reference", "x1", "--h", "0.5", "0.25",
+             "--origin", "0", "0", "--length", "inf", "--output", "{out}"],
+            ["apply", "--stencil", "{stencil}", "--grid", "{huge}", "--output", "{out}"],
+        ],
+        ids=["classify-probe", "convergence-grid", "zero-spacing", "infinite-length", "grid-file"],
+    )
+    def test_refused_with_one_error_line(self, lap2, tmp_path, capsys, argv):
+        huge = tmp_path / "huge.grd"
+        huge.write_text("dim 2\norigin 0 0\nh 0.25\nextents 4294967296 4294967296\n")
+        out = tmp_path / "o.out"
+        assert main([a.format(stencil=lap2, huge=huge, out=out) for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+
+class TestOutputFileModes:
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+    def test_outputs_get_the_mode_of_open(self, lap2, box_grid, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            with open(tmp_path / "ref", "w"):
+                pass
+            save_grid(load_grid(box_grid), str(tmp_path / "saved.grd"))
+            code = main(["solve", "laplace", "--grid", box_grid, "--boundary", "x1*x2",
+                         "--output", str(tmp_path / "o.grd"), "--report", str(tmp_path / "r.csv")])
+        finally:
+            os.umask(old)
+        assert code == 0
+        modes = {name: os.stat(tmp_path / name).st_mode & 0o777
+                 for name in ("ref", "saved.grd", "o.grd", "r.csv")}
+        assert set(modes.values()) == {0o666 & ~umask}, modes
 
 
 class TestDeterminism:

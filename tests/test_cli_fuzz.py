@@ -7,8 +7,11 @@ probes stay at most 5 nodes per axis and solves at most 200 iterations, so
 every example runs in milliseconds.  ``mollify`` refuses a kernel wider
 than its grid and a normalization quadrature above its point limit before
 building either, so its ``--eps`` and ``--refine`` are fuzzed too.
-``convergence`` is left out: its grid sizes grow as ``1 / h``, so a fuzzed
-spacing could ask for any amount of memory.
+``convergence`` builds grids of ``length / h + 1`` nodes per axis, so its
+spacings and lengths come either from boxes of at most 5 nodes per axis or
+from values it refuses before solving: non-positive, non-finite, or above
+the node limit.  Its expression options take the space-separated form, so
+values that start with ``-`` go through the option joining as well.
 """
 
 import contextlib
@@ -39,6 +42,15 @@ FINITE = st.one_of(
 NUMBERS = mostly(FINITE)
 SPACINGS = mostly(st.sampled_from(["0.25", "0.5", "1"]), st.one_of(WILD, FINITE))
 SHIFTS = mostly(st.sampled_from(["-1", "0", "0", "1", "2"]), st.sampled_from(["0.5", "x", "1e999"]))
+# Study spacings for a box of side 1: 3, 4 or 5 nodes per axis, or refused.
+THIRD = repr(1 / 3)
+STUDY_SPACINGS = mostly(
+    st.sampled_from([["0.5", "0.25"], ["0.5", THIRD], [THIRD, "0.25"], ["0.5", THIRD, "0.25"]]),
+    st.lists(st.sampled_from(["1", "0.5", "0.25", "0", "-0.5", "inf", "nan", "1e-9", "5e-324",
+                              "x"]), max_size=3),
+)
+STUDY_LENGTHS = mostly(st.just("1"), st.sampled_from(["0", "-1", "inf", "nan", "1e308", "x"]))
+STUDY_ORIGINS = st.lists(st.sampled_from(["0", "1", "-1", "0.5", "-0.0"]), min_size=1, max_size=3)
 SMALL_INTS = mostly(st.sampled_from(["1", "2", "3", "4", "5"]),
                     st.sampled_from(["0", "-1", "2.5", "x"]))
 
@@ -115,6 +127,10 @@ def jobs(draw):
         ["verify", "--grid", "{grid}", "--scaled", f"--rhs={expression}", "--output", "{out}"],
         ["potential", "--source", "{grid}", "--output", "{out}"],
         ["mollify", "--grid", "{grid}", "--eps", draw(NUMBERS), "--refine", draw(SMALL_INTS),
+         "--output", "{out}"],
+        ["convergence", "--problem", draw(st.sampled_from(["laplace", "poisson"])),
+         "--reference", expression, "--rhs", draw(EXPRESSIONS), "--h", *draw(STUDY_SPACINGS),
+         "--origin", *draw(STUDY_ORIGINS), "--length", draw(STUDY_LENGTHS), "--max-iter", "200",
          "--output", "{out}"],
     ]))
     return grid, stencil, argv

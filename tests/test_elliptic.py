@@ -18,7 +18,7 @@ from pardiff.elliptic import (
     solve_poisson_dirichlet,
     sphere_area,
 )
-from pardiff.grid import GridFunction, GridSpec, restrict, sample
+from pardiff.grid import MAX_NODES, GridFunction, GridSpec, restrict, sample
 from pardiff.stencil import laplace_stencil
 
 
@@ -629,3 +629,21 @@ class TestConvergenceStudy:
     def test_poisson_needs_rhs(self):
         with pytest.raises(ValueError, match="rhs"):
             convergence_study("poisson", "x1", None, (0.0, 0.0), 1.0, [0.5, 0.25])
+
+    @pytest.mark.parametrize(
+        "length,h_list",
+        [(1.0, [0.5, 0.0]), (1.0, [0.5, -0.25]), (1.0, [math.inf, 0.5]), (1.0, [0.5, math.nan]),
+         (math.inf, [0.5, 0.25]), (0.0, [0.5, 0.25]), (-1.0, [0.5, 0.25]), (math.nan, [0.5, 0.25])],
+    )
+    def test_non_positive_or_non_finite_input_refused(self, length, h_list):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            convergence_study("laplace", "x1", None, (0.0, 0.0), length, h_list)
+
+    @pytest.mark.parametrize("length,h", [(1.0, 1e-4), (1.0, 1e-9), (1e308, 1e-10), (1.0, 5e-324)])
+    def test_grid_above_the_node_limit_refused_before_any_solve(self, length, h, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("solved before checking every grid")
+
+        monkeypatch.setattr(elliptic, "solve_laplace_dirichlet", no_solve)
+        with pytest.raises(ValueError, match=f"(more than|exceeds the limit of) {MAX_NODES}"):
+            convergence_study("laplace", "x1", None, (0.0, 0.0), length, [length, h])

@@ -1,11 +1,15 @@
+import os
+
 import numpy as np
 import pytest
 
 from pardiff.expr import ExprEvalError
 from pardiff.grid import (
+    MAX_NODES,
     GridFileError,
     GridFunction,
     GridSpec,
+    _atomic_write,
     load_grid,
     norm,
     restrict,
@@ -41,6 +45,27 @@ class TestGridSpec:
         assert GridSpec((0.0,), 1e308, (2,)).meshes()[0][-1] == 1e308
         with pytest.raises(ValueError, match=r"corner \(inf,\)"):
             GridSpec((0.0,), 1e308, (3,))
+
+
+class TestNodeLimit:
+    def test_limit_itself_is_accepted(self):
+        assert GridSpec((0.0,), 1.0, (MAX_NODES,)).node_count == MAX_NODES
+
+    @pytest.mark.parametrize("extents", [(MAX_NODES + 1,), (4097, 4096), (2**32, 2**32)])
+    def test_larger_grid_refused(self, extents):
+        with pytest.raises(ValueError, match=f"exceeds the limit of {MAX_NODES}"):
+            GridSpec((0.0,) * len(extents), 1.0, extents)
+
+    def test_node_count_does_not_wrap(self):
+        # np.prod wraps (2**32, 2**32) to 0 in int64; the exact count is 2**64
+        with pytest.raises(ValueError, match=f"grid of {2**64} nodes"):
+            GridSpec((0.0, 0.0), 1.0, (2**32, 2**32))
+
+    def test_header_only_file_refused_before_reading_values(self, tmp_path):
+        path = tmp_path / "huge.grd"
+        path.write_text("dim 2\norigin 0 0\nh 1\nextents 4294967296 4294967296\n")
+        with pytest.raises(GridFileError, match="huge.grd: grid of .* exceeds the limit"):
+            load_grid(str(path))
 
 
 class TestGridFunction:
@@ -214,3 +239,24 @@ class TestGridFiles:
         path.write_text(f"dim 2\norigin {origin}\nh 1\nextents 1 2\n0\n0\n")
         with pytest.raises(GridFileError, match="far.grd: grid nodes must be finite: origin"):
             load_grid(str(path))
+
+
+class TestAtomicWrite:
+    def test_failed_rename_keeps_the_old_file_and_no_temporary(self, tmp_path, monkeypatch):
+        path = tmp_path / "u.grd"
+        save_grid(sample("x1", GridSpec((0.0,), 1.0, (3,))), str(path))
+        before = path.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="rename refused"):
+            save_grid(sample("2*x1", GridSpec((0.0,), 1.0, (3,))), str(path))
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["u.grd"]
+
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        with pytest.raises(UnicodeEncodeError):
+            _atomic_write(str(tmp_path / "u.grd"), "1\n\ud800\n")  # a lone surrogate
+        assert os.listdir(tmp_path) == []

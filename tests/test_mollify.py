@@ -8,6 +8,7 @@ from pardiff.grid import GridFunction, GridSpec, restrict, sample, shrink
 from pardiff.mollify import (
     MAX_QUADRATURE_POINTS,
     MollifierError,
+    MollifierKernel,
     bump,
     convolve,
     derivative_commute,
@@ -95,6 +96,33 @@ class TestMakeMollifier:
         assert 161**3 <= MAX_QUADRATURE_POINTS < 162**3
         with pytest.raises(MollifierError, match="quadrature"):
             make_mollifier(dim, eps, spacing, refine)
+
+
+class TestValidators:
+    @pytest.mark.parametrize(
+        "dim,eps,spacing", [(1, 0.25, 1 / 32), (2, 0.25, 1 / 16), (2, 0.3, 0.07), (3, 0.5, 1 / 8)]
+    )
+    def test_support_radius_is_the_farthest_nonzero_sample(self, dim, eps, spacing):
+        k = make_mollifier(dim, eps, spacing)
+        values, meshes = k.samples.values, k.samples.spec.meshes()
+        distances = [math.sqrt(sum(float(m[i]) ** 2 for m in meshes))
+                     for i in np.ndindex(values.shape) if values[i] != 0.0]
+        assert k.support_radius == max(distances)
+        assert 0.0 < k.support_radius <= eps
+
+    def test_symmetry_deviation_is_zero_for_built_kernels(self):
+        for dim in (1, 2, 3):
+            assert make_mollifier(dim, 0.5, 1 / 8).symmetry_deviation == 0.0
+
+    def test_validators_of_a_hand_made_kernel(self):
+        spec = GridSpec((-1.0, -1.0), 1.0, (3, 3))
+        values = np.zeros((3, 3))
+        values[1, 2] = 0.75  # at (0, 1); its mirror image (0, -1) is 0
+        k = MollifierKernel(2, 1.0, 1.0, GridFunction(spec, values), 0.75, 1.0, 0.75)
+        assert k.support_radius == 1.0
+        assert k.symmetry_deviation == 0.75
+        zero = MollifierKernel(2, 1.0, 1.0, GridFunction(spec, np.zeros((3, 3))), 0.0, 1.0, 0.0)
+        assert (zero.support_radius, zero.symmetry_deviation) == (0.0, 0.0)
 
 
 class TestMollifierFor:

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -360,6 +361,20 @@ class TestStencilFiles:
         save_stencil(s, str(path))
         t = load_stencil(str(path))
         assert t == s
+
+    def test_save_is_atomic(self, tmp_path, monkeypatch):
+        path = tmp_path / "s.stn"
+        save_stencil(laplace_stencil(2, 0.25), str(path))
+        before = path.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="rename refused"):
+            save_stencil(biharmonic_stencil(2, 0.25), str(path))
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["s.stn"]
 
     def test_real_shifts_survive_round_trip(self, tmp_path):
         s = Stencil(1, 1.0, (StencilTerm((0.5,), 1.0), StencilTerm((0,), -1.0)))
