@@ -42,6 +42,8 @@ __all__ = ["main"]
 
 # Options whose value is an expression, which may start with "-".
 _EXPRESSION_OPTIONS = ("--boundary", "--rhs", "--lap-boundary", "--reference")
+# Options whose values are coordinates, which may be negative in any spelling float() takes.
+_COORDINATE_OPTIONS = ("--at", "--probe-origin", "--origin")
 
 
 class _UsageError(ValueError):
@@ -273,10 +275,31 @@ def _build_parser() -> _ArgumentParser:
     return parser
 
 
-def _join_expression_options(argv: Iterable[str]) -> Iterator[str]:
-    """``--rhs VALUE`` as ``--rhs=VALUE``, so argparse takes a VALUE that starts with "-"."""
+def _is_float(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _mark_option_values(argv: Iterable[str]) -> Iterator[str]:
+    """Rewrite option values that start with "-" so that argparse takes them as values.
+
+    ``--rhs VALUE`` becomes ``--rhs=VALUE``.  After a coordinate option, a
+    number that starts with "-" gains a leading space, which ``float()``
+    ignores: argparse takes only some spellings of a negative number as a
+    value (``-1.5`` but not ``-1e-05`` or ``-inf`` on Python 3.11), and which
+    ones depends on the Python version, while it takes any token that does not
+    start with "-" as a value.
+    """
     tokens = iter(argv)
+    coordinates = False
     for token in tokens:
+        if coordinates and _is_float(token):
+            yield " " + token if token.startswith("-") else token
+            continue
+        coordinates = token in _COORDINATE_OPTIONS
         value = next(tokens, None) if token in _EXPRESSION_OPTIONS else None
         yield token if value is None else f"{token}={value}"
 
@@ -284,7 +307,7 @@ def _join_expression_options(argv: Iterable[str]) -> Iterator[str]:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(_join_expression_options(sys.argv[1:] if argv is None else argv))
+        args = parser.parse_args(_mark_option_values(sys.argv[1:] if argv is None else argv))
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return args.func(args)
     except SystemExit as exc:  # --help / --version

@@ -616,6 +616,29 @@ def harnack_limit(
     return HarnackVerdict(outcome="divergent", deviations=deviations)
 
 
+def _box_specs(
+    origin: Sequence[float], lengths: Sequence[float], h_list: Sequence[float]
+) -> list[GridSpec]:
+    """The box ``origin + [0, length]`` per axis at each spacing, every one checked first.
+
+    Lengths and spacings must be positive and finite, and no side may hold
+    ``MAX_NODES`` nodes or more.
+    """
+    if not all(v > 0.0 and math.isfinite(v) for v in (*lengths, *h_list)):
+        raise ValueError(
+            f"lengths {list(lengths)} and spacings {list(h_list)} must be positive and finite"
+        )
+    specs = []
+    for h in h_list:
+        for length in lengths:
+            if not length / h < MAX_NODES:  # inf when it overflows
+                raise ValueError(
+                    f"spacing {h} puts more than {MAX_NODES} nodes on a side of {length}"
+                )
+        specs.append(GridSpec(origin, h, tuple(round(length / h) + 1 for length in lengths)))
+    return specs
+
+
 def harmonicity_residual(
     expression: Union[CoeffExpr, str],
     origin: Sequence[float],
@@ -638,9 +661,8 @@ def harmonicity_residual(
     dim = len(origin)
     pairs: list[tuple[float, float]] = []
     floors: list[float] = []
-    for h in h_list:
-        extents = tuple(int(round(length / h)) + 1 for length in lengths)
-        spec = GridSpec(origin, h, extents)
+    for spec in _box_specs(origin, lengths, h_list):
+        h = spec.h
         u = sample(expression, spec)
         applied = laplace_stencil(dim, h).apply(u)
         res = float(np.abs(applied.values).max())
@@ -697,14 +719,7 @@ def convergence_study(
     rhs_expr = parse(rhs) if rhs else None
     if problem == "poisson" and rhs_expr is None:
         raise ValueError("a poisson study needs --rhs")
-    if not all(v > 0.0 and math.isfinite(v) for v in (length, *h_list)):
-        raise ValueError(f"length {length} and spacings {list(h_list)} must be positive and finite")
-    specs = []
-    for h in h_list:
-        cells = length / h  # inf when it overflows
-        if not cells < MAX_NODES:
-            raise ValueError(f"spacing {h} puts more than {MAX_NODES} nodes on a side of {length}")
-        specs.append(GridSpec(origin, h, (round(cells) + 1,) * len(origin)))
+    specs = _box_specs(origin, (length,) * len(origin), h_list)
     rows: list[ConvergenceRow] = []
     for spec in specs:
         h = spec.h

@@ -221,14 +221,13 @@ def _valid_convolve(a: np.ndarray, k: np.ndarray) -> np.ndarray:
 def grid_file_text(u: GridFunction) -> str:
     """The grid file serialization: header lines then one value per line."""
     spec = u.spec
-    lines = [
-        f"dim {spec.dim}",
-        "origin " + " ".join(format(v, ".17g") for v in spec.origin),
-        f"h {format(spec.h, '.17g')}",
-        "extents " + " ".join(str(e) for e in spec.extents),
-    ]
-    lines.extend(format(v, ".17g") for v in u.flat())
-    return "\n".join(lines) + "\n"
+    header = (
+        f"dim {spec.dim}\n"
+        f"origin {' '.join(format(v, '.17g') for v in spec.origin)}\n"
+        f"h {format(spec.h, '.17g')}\n"
+        f"extents {' '.join(str(e) for e in spec.extents)}\n"
+    )
+    return header + ("%.17g\n" * spec.node_count) % tuple(u.flat().tolist())
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -253,14 +252,30 @@ def save_grid(u: GridFunction, path: str) -> None:
     _atomic_write(path, grid_file_text(u))
 
 
-def _content_lines(path: str) -> list[tuple[int, str]]:
-    out = []
+def _read_text(path: str) -> str:
+    """The whole file, decoded as UTF-8 with universal newlines.
+
+    A decoding error is raised as reading line by line raises it: that reader
+    counts the byte position within the 8 KiB chunk that failed, so the
+    message stays the one the per-line reader always gave.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            stripped = raw.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            out.append((lineno, stripped))
+        try:
+            return fh.read()
+        except UnicodeDecodeError:
+            fh.seek(0)
+            for _ in fh:
+                pass
+            raise
+
+
+def _content_lines(text: str, lineno: int = 1) -> list[tuple[int, str]]:
+    """Stripped lines of ``text`` numbered from ``lineno``, without blank and ``#`` lines."""
+    out = []
+    for n, raw in enumerate(text.split("\n"), start=lineno):
+        stripped = raw.strip()
+        if stripped and not stripped.startswith("#"):
+            out.append((n, stripped))
     return out
 
 
@@ -273,11 +288,7 @@ def _header_fields(path: str, lineno: int, line: str, key: str, count: int | Non
     return fields[1:]
 
 
-def load_grid(path: str) -> GridFunction:
-    """Read a grid file written by :func:`save_grid`.  ``#`` lines are comments."""
-    lines = _content_lines(path)
-    if len(lines) < 4:
-        raise GridFileError(f"{path}: truncated grid file")
+def _grid_header(path: str, lines: list[tuple[int, str]]) -> GridSpec:
     try:
         (dim,) = _header_fields(path, *lines[0], "dim", 1)
         dim = int(dim)
@@ -293,20 +304,67 @@ def load_grid(path: str) -> GridFunction:
     except ValueError as exc:
         raise GridFileError(f"{path}: malformed header: {exc}") from None
     try:
-        spec = GridSpec(origin, h, extents)
+        return GridSpec(origin, h, extents)
     except ValueError as exc:
         raise GridFileError(f"{path}: {exc}") from None
-    body = lines[4:]
-    if len(body) != spec.node_count:
-        raise GridFileError(
-            f"{path}: expected {spec.node_count} value lines, found {len(body)}"
-        )
-    values = np.empty(spec.node_count)
-    for k, (lineno, line) in enumerate(body):
+
+
+def _bulk_values(text: str, at: int, lineno: int, count: int) -> np.ndarray | None:
+    """One ``float`` pass over the body, which starts at offset ``at``, line ``lineno``.
+
+    None, for the per-line reader to take over, unless the body has exactly
+    ``count`` lines after one final empty line is dropped and ``float`` takes
+    each.  A body with a ``#`` has comments, so it gets None before the split.
+    """
+    if text.find("#", at) >= 0:
+        return None
+    parts = text.split("\n")
+    del parts[: lineno - 1]
+    if parts and parts[-1] == "":
+        parts.pop()
+    if len(parts) != count:
+        return None
+    try:
+        return np.fromiter(map(float, parts), float, count)
+    except ValueError:
+        return None
+
+
+def _body_values(path: str, text: str, lineno: int, count: int) -> np.ndarray:
+    """The per-line reader: ``count`` value lines of ``text``, which starts at line ``lineno``."""
+    body = _content_lines(text, lineno)
+    if len(body) != count:
+        raise GridFileError(f"{path}: expected {count} value lines, found {len(body)}")
+    values = np.empty(count)
+    for k, (n, line) in enumerate(body):
         try:
             values[k] = float(line)
         except ValueError:
-            raise GridFileError(f"{path}:{lineno}: invalid value {line!r}") from None
+            raise GridFileError(f"{path}:{n}: invalid value {line!r}") from None
+    return values
+
+
+def load_grid(path: str) -> GridFunction:
+    """Read a grid file written by :func:`save_grid`.  ``#`` lines are comments.
+
+    A body of exactly one value per line goes through one ``float`` pass; a
+    body with comments, blank lines, a bad value or the wrong number of lines
+    goes through the per-line reader, which names the line at fault.
+    """
+    text = _read_text(path)
+    header: list[tuple[int, str]] = []
+    lineno, at = 1, 0
+    while len(header) < 4 and at <= len(text):
+        end = text.find("\n", at)
+        end = len(text) if end < 0 else end
+        header += _content_lines(text[at:end], lineno)
+        lineno, at = lineno + 1, end + 1
+    if len(header) < 4:
+        raise GridFileError(f"{path}: truncated grid file")
+    spec = _grid_header(path, header)
+    values = _bulk_values(text, at, lineno, spec.node_count)
+    if values is None:
+        values = _body_values(path, text[at:], lineno, spec.node_count)
     try:
         return GridFunction(spec, values)
     except ValueError as exc:

@@ -22,7 +22,8 @@ import numpy as np
 
 from . import expr as ex
 from .grid import (
-    GridFunction, GridSpec, _atomic_write, _content_lines, _header_fields, norm, restrict
+    GridFunction, GridSpec, _atomic_write, _content_lines, _header_fields, _read_text, norm,
+    restrict,
 )
 
 __all__ = [
@@ -282,7 +283,7 @@ def load_stencil(path: str) -> Stencil:
     Term lines are ``term s1 ... sN c`` with ``c`` either a numeric literal or
     a double-quoted coefficient expression.
     """
-    lines = _content_lines(path)
+    lines = _content_lines(_read_text(path))
     if len(lines) < 4:
         raise StencilFileError(f"{path}: truncated stencil file")
     try:

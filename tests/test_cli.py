@@ -647,6 +647,54 @@ class TestExpressionOptionLeadingMinus:
         assert not out.exists()
 
 
+class TestNegativeCoordinateSpellings:
+    """Every spelling float() takes is a coordinate value, whatever argparse makes of it."""
+
+    SPELLINGS = ["-1e-05", "-1E-05", "-1e-5", "-1.0e-05", "-1.5", "-.5", "-2e+1", "-1_0", "-7"]
+
+    @pytest.mark.parametrize("value", SPELLINGS)
+    def test_at(self, lap2, capsys, value):
+        assert main(["classify", "--stencil", lap2, "--at", value, "0"]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == f"{float(value):.17g},0,2,2,elliptic"
+
+    @pytest.mark.parametrize("value", SPELLINGS)
+    def test_probe_origin(self, lap2, capsys, value):
+        argv = ["classify", "--stencil", lap2, "--probe-origin", "0.25", value, "--probe-h", "0.5",
+                "--probe-extents", "1", "2"]
+        assert main(argv) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [row.split(",")[1] for row in rows] == [
+            f"{float(value):.17g}", f"{float(value) + 0.5:.17g}"
+        ]
+
+    @pytest.mark.parametrize("value", ["-1e-3", "-1E-3", "-1.0e-03"])
+    def test_origin(self, capsys, value):
+        def study(origin):
+            argv = ["convergence", "--problem", "laplace", "--reference", "x1*x2", "--h", "0.5",
+                    "0.25", "--origin", origin, "0", "--length", "1"]
+            assert main(argv) == 0
+            return capsys.readouterr().out
+
+        assert study(value) == study("-0.001")
+
+    @pytest.mark.parametrize("value", ["-inf", "-Infinity", "-nan"])
+    def test_non_finite_reaches_the_library(self, lap2, capsys, value):
+        assert main(["classify", "--stencil", lap2, "--at", value, "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: grid nodes must be finite") and err.count("\n") == 1
+
+    def test_options_after_a_coordinate_list_are_recognised(self, lap2, tmp_path):
+        out = tmp_path / "c.csv"
+        argv = ["classify", "--stencil", lap2, "--at", "-1e-05", "-2e-3", "--tol", "1e-3",
+                "--output", str(out)]
+        assert main(argv) == 0
+        assert out.read_text().splitlines()[1] == "-1.0000000000000001e-05,-0.002,2,2,elliptic"
+
+    def test_non_number_after_a_coordinate_list_is_not_taken(self, lap2, capsys):
+        assert main(["classify", "--stencil", lap2, "--at", "-1e-05", "0", "-x"]) == 1
+        assert capsys.readouterr().err == "error: unrecognized arguments: -x\n"
+
+
 class TestNodeLimit:
     @pytest.mark.parametrize(
         "argv",

@@ -11,7 +11,9 @@ building either, so its ``--eps`` and ``--refine`` are fuzzed too.
 spacings and lengths come either from boxes of at most 5 nodes per axis or
 from values it refuses before solving: non-positive, non-finite, or above
 the node limit.  Its expression options take the space-separated form, so
-values that start with ``-`` go through the option joining as well.
+values that start with ``-`` go through the option joining as well, and its
+origins include ``-1e-05`` and ``-inf``, which argparse alone would take for
+options.
 """
 
 import contextlib
@@ -50,7 +52,8 @@ STUDY_SPACINGS = mostly(
                               "x"]), max_size=3),
 )
 STUDY_LENGTHS = mostly(st.just("1"), st.sampled_from(["0", "-1", "inf", "nan", "1e308", "x"]))
-STUDY_ORIGINS = st.lists(st.sampled_from(["0", "1", "-1", "0.5", "-0.0"]), min_size=1, max_size=3)
+STUDY_ORIGINS = st.lists(st.sampled_from(["0", "1", "-1", "0.5", "-0.0", "-1e-05", "-inf"]),
+                         min_size=1, max_size=3)
 SMALL_INTS = mostly(st.sampled_from(["1", "2", "3", "4", "5"]),
                     st.sampled_from(["0", "-1", "2.5", "x"]))
 

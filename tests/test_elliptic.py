@@ -608,6 +608,26 @@ class TestHarmonicityResidual:
         with pytest.raises(Exception, match="ln|sampling"):
             harmonicity_residual("ln(x1)", (-1.0, 0.0), (2.0, 1.0), [0.5])
 
+    @pytest.mark.parametrize(
+        "lengths,h_list",
+        [((1, 1), [0.0]), ((1, 1), [0.5, -0.25]), ((1, 1), [0.5, math.nan]),
+         ((0, 1), [0.5]), ((1, math.inf), [0.5])],
+    )
+    def test_non_positive_or_non_finite_input_refused(self, lengths, h_list, monkeypatch):
+        monkeypatch.setattr(elliptic, "sample", no_sample)
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            harmonicity_residual("x1", (0, 0), lengths, h_list)
+
+    @pytest.mark.parametrize("lengths,h", [((1e308, 1), 1e-10), ((1, 1), 1e-9), ((1, 2), 1e-7)])
+    def test_box_above_the_node_limit_refused_before_any_sample(self, lengths, h, monkeypatch):
+        monkeypatch.setattr(elliptic, "sample", no_sample)
+        with pytest.raises(ValueError, match=f"more than {MAX_NODES}"):
+            harmonicity_residual("x1", (0, 0), lengths, [0.5, h])
+
+
+def no_sample(*args):
+    raise AssertionError("sampled before checking every box")
+
 
 class TestConvergenceStudy:
     def test_orders_near_two(self):

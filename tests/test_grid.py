@@ -1,8 +1,10 @@
+import math
 import os
 
 import numpy as np
 import pytest
 
+import pardiff.grid as grid_module
 from pardiff.expr import ExprEvalError
 from pardiff.grid import (
     MAX_NODES,
@@ -10,6 +12,8 @@ from pardiff.grid import (
     GridFunction,
     GridSpec,
     _atomic_write,
+    _header_fields,
+    grid_file_text,
     load_grid,
     norm,
     restrict,
@@ -239,6 +243,197 @@ class TestGridFiles:
         path.write_text(f"dim 2\norigin {origin}\nh 1\nextents 1 2\n0\n0\n")
         with pytest.raises(GridFileError, match="far.grd: grid nodes must be finite: origin"):
             load_grid(str(path))
+
+
+def reference_load_grid(path: str) -> GridFunction:
+    """The per-line reader that ``load_grid`` replaced, kept as its reference."""
+    lines = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            stripped = raw.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            lines.append((lineno, stripped))
+    if len(lines) < 4:
+        raise GridFileError(f"{path}: truncated grid file")
+    try:
+        (dim,) = _header_fields(path, *lines[0], "dim", 1)
+        dim = int(dim)
+        if dim < 1:
+            raise ValueError
+    except ValueError:
+        raise GridFileError(f"{path}:{lines[0][0]}: invalid dimension") from None
+    try:
+        origin = tuple(float(v) for v in _header_fields(path, *lines[1], "origin", dim))
+        (h,) = _header_fields(path, *lines[2], "h", 1)
+        h = float(h)
+        extents = tuple(int(v) for v in _header_fields(path, *lines[3], "extents", dim))
+    except ValueError as exc:
+        raise GridFileError(f"{path}: malformed header: {exc}") from None
+    try:
+        spec = GridSpec(origin, h, extents)
+    except ValueError as exc:
+        raise GridFileError(f"{path}: {exc}") from None
+    body = lines[4:]
+    if len(body) != spec.node_count:
+        raise GridFileError(
+            f"{path}: expected {spec.node_count} value lines, found {len(body)}"
+        )
+    values = np.empty(spec.node_count)
+    for k, (lineno, line) in enumerate(body):
+        try:
+            values[k] = float(line)
+        except ValueError:
+            raise GridFileError(f"{path}:{lineno}: invalid value {line!r}") from None
+    try:
+        return GridFunction(spec, values)
+    except ValueError as exc:
+        raise GridFileError(f"{path}: {exc}") from None
+
+
+def load_outcome(load, path):
+    """The spec and exact value bytes of a load, or the type and text of its error."""
+    try:
+        u = load(str(path))
+    except ValueError as exc:  # GridFileError and UnicodeDecodeError
+        return type(exc).__name__, str(exc)
+    return u.spec, u.values.tobytes()
+
+
+HEADER = b"dim 2\norigin 0 -1\nh 0.5\nextents 2 3\n"
+VALUES = [b"1.5", b"-0", b"2e-3", b"7", b"-8.25", b"1e300"]
+
+
+def lines(values, end=b"\n"):
+    return b"".join(v + end for v in values)
+
+
+# A 1-D file whose invalid byte lies past the first 8 KiB of the file.
+LONG_BODY = [b"%.17g" % (k / 7) for k in range(1000)]
+LONG_BODY[600] = b"0.5\xff"
+
+GRID_FILES = {
+    "plain": HEADER + lines(VALUES),
+    "blank-line-in-body": HEADER + lines(VALUES[:2] + [b""] + VALUES[2:]),
+    "spaces-line-in-body": HEADER + lines(VALUES[:2] + [b"  \t"] + VALUES[2:]),
+    "comment-line-in-body": HEADER + lines(VALUES[:3] + [b"# note"] + VALUES[3:]),
+    "comment-after-value": HEADER + lines(VALUES[:3] + [b"7 # note"] + VALUES[4:]),
+    "comments-in-header": b"# c\ndim 2\n\norigin 0 -1\n  # x\nh 0.5\nextents 2 3\n" + lines(VALUES),
+    "crlf": (HEADER + lines(VALUES)).replace(b"\n", b"\r\n"),
+    "cr-only": (HEADER + lines(VALUES)).replace(b"\n", b"\r"),
+    "crlf-with-comment": (HEADER + lines([b"#"] + VALUES)).replace(b"\n", b"\r\n"),
+    "mixed-line-endings": HEADER + b"1.5\r\n-0\r2e-3\n7\n-8.25\r\n1e300",
+    "no-trailing-newline": HEADER + lines(VALUES)[:-1],
+    "trailing-blank-lines": HEADER + lines(VALUES) + b"\n  \n\n",
+    "padded-value": HEADER + lines([b" 1.5 "] + VALUES[1:]),
+    "unicode-spaces": HEADER + lines([b"\xe2\x80\x831.5\xc2\x85"] + VALUES[1:]),
+    "underscore": HEADER + lines([b"1_0"] + VALUES[1:]),
+    "bad-value-on-line-9": HEADER + lines(VALUES[:4] + [b"1.5.2"] + VALUES[5:]),
+    "bad-value-then-too-many": HEADER + lines([b"nope"] + VALUES),
+    "one-line-too-few": HEADER + lines(VALUES[:-1]),
+    "one-line-too-many": HEADER + lines(VALUES + [b"3"]),
+    "non-finite-value": HEADER + lines(VALUES[:5] + [b"-inf"]),
+    "invalid-utf8": HEADER + lines(VALUES[:3] + [b"\xff"] + VALUES[4:]),
+    "invalid-utf8-past-8-kib": b"dim 1\norigin 0\nh 1\nextents 1000\n" + lines(LONG_BODY),
+    "cut-multibyte-at-end": HEADER + lines(VALUES) + b"\xc3",
+    "header-only": HEADER,
+    "truncated": b"dim 2\norigin 0 -1\n# h\n",
+    "empty": b"",
+    "bad-dimension": b"dim 0\norigin 0\nh 1\nextents 1\n0\n",
+    "bad-header": b"dim 2\norigin 0\nh 1\nextents 1 1\n0\n",
+}
+
+# The files whose body is one value per line, which the bulk pass reads.
+BULK_FILES = [
+    "plain", "comments-in-header", "crlf", "cr-only", "mixed-line-endings",
+    "no-trailing-newline", "padded-value", "unicode-spaces", "underscore", "non-finite-value",
+]
+
+
+class TestBulkLoadAgainstPerLineReader:
+    @pytest.mark.parametrize("name", sorted(GRID_FILES))
+    def test_same_values_or_same_error(self, tmp_path, name):
+        path = tmp_path / "g.grd"
+        path.write_bytes(GRID_FILES[name])
+        assert load_outcome(load_grid, path) == load_outcome(reference_load_grid, path)
+
+    @pytest.mark.parametrize("name", sorted(GRID_FILES))
+    def test_per_line_reader_alone_gives_the_same(self, tmp_path, monkeypatch, name):
+        path = tmp_path / "g.grd"
+        path.write_bytes(GRID_FILES[name])
+        monkeypatch.setattr(grid_module, "_bulk_values", lambda *args: None)
+        assert load_outcome(load_grid, path) == load_outcome(reference_load_grid, path)
+
+    @pytest.mark.parametrize("name", BULK_FILES)
+    def test_one_value_per_line_takes_the_bulk_pass(self, tmp_path, monkeypatch, name):
+        def no_per_line(*args):
+            raise AssertionError("the per-line reader ran")
+
+        path = tmp_path / "g.grd"
+        path.write_bytes(GRID_FILES[name])
+        expected = load_outcome(reference_load_grid, path)
+        monkeypatch.setattr(grid_module, "_body_values", no_per_line)
+        assert load_outcome(load_grid, path) == expected
+
+    def test_errors_name_the_line(self, tmp_path):
+        path = tmp_path / "g.grd"
+        path.write_bytes(GRID_FILES["bad-value-on-line-9"])
+        assert load_outcome(load_grid, path) == (
+            "GridFileError", f"{path}:9: invalid value '1.5.2'"
+        )
+        path.write_bytes(GRID_FILES["invalid-utf8-past-8-kib"])
+        name, message = load_outcome(load_grid, path)
+        assert name == "UnicodeDecodeError" and "position" in message
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_grids_round_trip_bit_for_bit(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        extents = tuple(int(e) for e in rng.integers(1, 12, size=int(rng.integers(1, 4))))
+        n = math.prod(extents)
+        edge = np.array([
+            -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, -1e-310, 2.2250738585072014e-308,
+            1.7976931348623157e308, -1.7976931348623157e308,
+        ])
+        values = np.where(
+            rng.random(n) < 0.4,
+            rng.choice(edge, n),
+            rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n),
+        )
+        u = GridFunction(GridSpec((-1.5,) * len(extents), 1 / 3, extents), values)
+        path = tmp_path / "r.grd"
+        save_grid(u, str(path))
+        assert load_outcome(load_grid, path) == (u.spec, u.values.tobytes())
+        assert load_outcome(reference_load_grid, path) == (u.spec, u.values.tobytes())
+
+
+# Written once by the per-value writer that grid_file_text replaced.
+EDGE_VALUES = [0.1, 1 / 3, -0.0, 5e-324, -1.7976931348623157e308, 2.2250738585072014e-308,
+               1e16, 123456789.0, -2 / 3]
+GOLDEN_TEXT = {
+    "1-D": (
+        GridSpec((-0.5,), 0.1, (9,)),
+        "dim 1\norigin -0.5\nh 0.10000000000000001\nextents 9\n0.10000000000000001\n"
+        "0.33333333333333331\n-0\n4.9406564584124654e-324\n-1.7976931348623157e+308\n"
+        "2.2250738585072014e-308\n10000000000000000\n123456789\n-0.66666666666666663\n",
+    ),
+    "2-D": (
+        GridSpec((1 / 3, -0.0), 1 / 7, (3, 3)),
+        "dim 2\norigin 0.33333333333333331 -0\nh 0.14285714285714285\nextents 3 3\n"
+        "0.10000000000000001\n0.33333333333333331\n-0\n4.9406564584124654e-324\n"
+        "-1.7976931348623157e+308\n2.2250738585072014e-308\n10000000000000000\n123456789\n"
+        "-0.66666666666666663\n",
+    ),
+}
+
+
+class TestGridFileText:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_TEXT))
+    def test_golden_bytes(self, tmp_path, name):
+        spec, text = GOLDEN_TEXT[name]
+        u = GridFunction(spec, EDGE_VALUES)
+        assert grid_file_text(u) == text
+        save_grid(u, str(tmp_path / "g.grd"))
+        assert (tmp_path / "g.grd").read_bytes() == text.encode()
 
 
 class TestAtomicWrite:
