@@ -116,9 +116,7 @@ def _labels(eigenvalues: np.ndarray, tol: float) -> tuple[str, ...]:
 
 def classify_at(s: Stencil, x: Sequence[float], tol: float = DEFAULT_TOL) -> str:
     """Label the operator at one point: elliptic, hyperbolic, or parabolic."""
-    if tol <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    return _labels(eigen_symmetric(coefficient_matrix(s, x))[None, :], tol)[0]
+    return classify_region(s, GridSpec(x, 1.0, (1,) * len(x)), tol).labels[0]
 
 
 def classify_region(s: Stencil, probe: GridSpec, tol: float = DEFAULT_TOL) -> ClassificationReport:

@@ -25,6 +25,8 @@ import numpy as np
 from . import __version__
 from .classify import DEFAULT_TOL, classify_region
 from .elliptic import (
+    SOLVE_MAX_ITER,
+    SOLVE_TOL,
     FundamentalSolution,
     convergence_study,
     max_principle_check,
@@ -103,10 +105,7 @@ def _cmd_solve(args) -> int:
 
     def rhs_grid() -> GridFunction:
         if args.rhs_grid:
-            f = load_grid(args.rhs_grid)
-            if f.spec != spec:
-                raise _UsageError("--rhs-grid must live on the same grid as --grid")
-            return f
+            return load_grid(args.rhs_grid)
         if args.rhs:
             return sample(parse_expr(args.rhs), spec)
         return GridFunction(spec, np.zeros(spec.extents))
@@ -233,8 +232,8 @@ def _build_parser() -> _ArgumentParser:
     p.add_argument("--rhs", help="right-hand side expression")
     p.add_argument("--rhs-grid", help="right-hand side grid file")
     p.add_argument("--lap-boundary", help="boundary expression for the Laplacian stage")
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iter", type=int, default=100_000)
+    p.add_argument("--tol", type=float, default=SOLVE_TOL)
+    p.add_argument("--max-iter", type=int, default=SOLVE_MAX_ITER)
     p.add_argument("--output", required=True, help="solution grid file")
     p.add_argument("--report", help="CSV report destination (default: stdout)")
     p.set_defaults(func=_cmd_solve)
@@ -268,8 +267,8 @@ def _build_parser() -> _ArgumentParser:
     p.add_argument("--h", nargs="+", type=float, required=True, help="decreasing spacings")
     p.add_argument("--origin", nargs="+", type=float, required=True)
     p.add_argument("--length", type=float, required=True, help="box side length")
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iter", type=int, default=100_000)
+    p.add_argument("--tol", type=float, default=SOLVE_TOL)
+    p.add_argument("--max-iter", type=int, default=SOLVE_MAX_ITER)
     p.add_argument("--output", help="CSV destination (default: stdout)")
     p.set_defaults(func=_cmd_convergence)
     return parser

@@ -42,7 +42,13 @@ __all__ = [
     "harmonicity_residual",
     "ConvergenceRow",
     "convergence_study",
+    "SOLVE_TOL",
+    "SOLVE_MAX_ITER",
 ]
+
+# Default residual tolerance and iteration cap of the Dirichlet solves.
+SOLVE_TOL = 1e-10
+SOLVE_MAX_ITER = 100_000
 
 
 def sphere_area(dim: int) -> float:
@@ -391,7 +397,7 @@ def _color_sublattices(
 
 
 def solve_laplace_dirichlet(
-    boundary: GridFunction, tol: float = 1e-10, max_iter: int = 100_000
+    boundary: GridFunction, tol: float = SOLVE_TOL, max_iter: int = SOLVE_MAX_ITER
 ) -> SolveReport:
     """Solve the centered discrete Laplace equation with the given Dirichlet ring.
 
@@ -402,7 +408,7 @@ def solve_laplace_dirichlet(
 
 
 def solve_poisson_dirichlet(
-    f: GridFunction, boundary: GridFunction, tol: float = 1e-10, max_iter: int = 100_000
+    f: GridFunction, boundary: GridFunction, tol: float = SOLVE_TOL, max_iter: int = SOLVE_MAX_ITER
 ) -> SolveReport:
     """Solve the centered discrete Poisson equation; residual against the h^(-2) operator."""
     if f.spec != boundary.spec:
@@ -424,8 +430,8 @@ def solve_biharmonic(
     rhs: GridFunction,
     boundary: GridFunction,
     laplacian_boundary: GridFunction,
-    tol: float = 1e-10,
-    max_iter: int = 100_000,
+    tol: float = SOLVE_TOL,
+    max_iter: int = SOLVE_MAX_ITER,
 ) -> SolveReport:
     """Solve the fourth-order problem by splitting into two Poisson solves.
 
@@ -700,8 +706,8 @@ def convergence_study(
     origin: Sequence[float],
     length: float,
     h_list: Sequence[float],
-    tol: float = 1e-10,
-    max_iter: int = 100_000,
+    tol: float = SOLVE_TOL,
+    max_iter: int = SOLVE_MAX_ITER,
 ) -> list[ConvergenceRow]:
     """Per-spacing max-norm error of a Dirichlet solve against a reference expression.
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence, Union
 
 import numpy as np
@@ -45,7 +46,16 @@ __all__ = [
     "to_string",
 ]
 
-FUNCTIONS = ("exp", "ln", "sin", "cos", "sqrt", "abs")
+# Each function's scalar form, which raises on a domain error, and its array
+# form, which gives nan or inf there instead.
+FUNCTIONS = {
+    "exp": (math.exp, np.exp),
+    "ln": (math.log, np.log),
+    "sin": (math.sin, np.sin),
+    "cos": (math.cos, np.cos),
+    "sqrt": (math.sqrt, np.sqrt),
+    "abs": (abs, np.abs),
+}
 
 
 class ExprError(ValueError):
@@ -126,9 +136,8 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             tokens.append((c, c, i))
             i += 1
             continue
-        if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
-            m = _NUMBER_RE.match(text, i)
-            assert m is not None
+        m = _NUMBER_RE.match(text, i)
+        if m is not None:
             tokens.append(("number", m.group(), i))
             i = m.end()
             continue
@@ -175,21 +184,13 @@ class _Parser:
             raise ExprSyntaxError(f"unexpected {value!r}", offset)
         return e
 
-    def expr(self) -> tuple[CoeffExpr, int]:
-        left, height = self.term()
-        while self.peek()[0] in "+-":
+    def expr(self, ops: str = "+-") -> tuple[CoeffExpr, int]:
+        """A left-associative chain of ``ops``: terms joined by ``+ -``, or unaries by ``* /``."""
+        operand = partial(self.expr, "*/") if ops == "+-" else self.unary
+        left, height = operand()
+        while self.peek()[0] in ops:
             op, _, offset = self.advance()
-            right, right_height = self.term()
-            left, height = self.checked(
-                BinOp(op, left, right), 1 + max(height, right_height), offset
-            )
-        return left, height
-
-    def term(self) -> tuple[CoeffExpr, int]:
-        left, height = self.unary()
-        while self.peek()[0] in "*/":
-            op, _, offset = self.advance()
-            right, right_height = self.unary()
+            right, right_height = operand()
             left, height = self.checked(
                 BinOp(op, left, right), 1 + max(height, right_height), offset
             )
@@ -259,16 +260,6 @@ def parse(text: str) -> CoeffExpr:
     return _Parser(text).parse()
 
 
-_SCALAR_FUNCS = {
-    "exp": math.exp,
-    "ln": math.log,
-    "sin": math.sin,
-    "cos": math.cos,
-    "sqrt": math.sqrt,
-    "abs": abs,
-}
-
-
 def _check_finite(value: float, what: str, point: tuple[float, ...]) -> float:
     if not math.isfinite(value):
         raise ExprEvalError(f"non-finite result from {what}", point)
@@ -289,7 +280,7 @@ def _eval_scalar(e: CoeffExpr, point: tuple[float, ...]) -> float:
     if isinstance(e, Call):
         arg = _eval_scalar(e.arg, point)
         try:
-            value = _SCALAR_FUNCS[e.func](arg)
+            value = FUNCTIONS[e.func][0](arg)
         except (ValueError, OverflowError) as exc:
             raise ExprEvalError(f"{e.func}({arg!r}) failed: {exc}", point) from None
         return _check_finite(value, f"{e.func}(...)", point)
@@ -332,10 +323,7 @@ def _eval_array(e: CoeffExpr, coords: list[np.ndarray]):
     if isinstance(e, Neg):
         return -_eval_array(e.operand, coords)
     if isinstance(e, Call):
-        arg = _eval_array(e.arg, coords)
-        if e.func == "ln":
-            return np.log(arg)
-        return getattr(np, e.func)(arg)
+        return FUNCTIONS[e.func][1](_eval_array(e.arg, coords))
     left = _eval_array(e.left, coords)
     right = _eval_array(e.right, coords)
     if e.op == "+":

@@ -255,18 +255,16 @@ def save_grid(u: GridFunction, path: str) -> None:
 def _read_text(path: str) -> str:
     """The whole file, decoded as UTF-8 with universal newlines.
 
-    A decoding error is raised as reading line by line raises it: that reader
-    counts the byte position within the 8 KiB chunk that failed, so the
-    message stays the one the per-line reader always gave.
+    Bytes that are not UTF-8 raise a GridFileError with the offset of the
+    first one in the file.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return fh.read()
-        except UnicodeDecodeError:
-            fh.seek(0)
-            for _ in fh:
-                pass
-            raise
+        except UnicodeDecodeError as exc:
+            raise GridFileError(
+                f"{path}: not valid UTF-8 at byte offset {exc.start}: {exc.reason}"
+            ) from None
 
 
 def _content_lines(text: str, lineno: int = 1) -> list[tuple[int, str]]:

@@ -14,6 +14,7 @@ that never touch a grid.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Sequence, Union
@@ -22,8 +23,8 @@ import numpy as np
 
 from . import expr as ex
 from .grid import (
-    GridFunction, GridSpec, _atomic_write, _content_lines, _header_fields, _read_text, norm,
-    restrict,
+    GridFileError, GridFunction, GridSpec, _atomic_write, _content_lines, _header_fields,
+    _read_text, norm, restrict,
 )
 
 __all__ = [
@@ -283,7 +284,10 @@ def load_stencil(path: str) -> Stencil:
     Term lines are ``term s1 ... sN c`` with ``c`` either a numeric literal or
     a double-quoted coefficient expression.
     """
-    lines = _content_lines(_read_text(path))
+    try:
+        lines = _content_lines(_read_text(path))
+    except GridFileError as exc:
+        raise StencilFileError(str(exc)) from None
     if len(lines) < 4:
         raise StencilFileError(f"{path}: truncated stencil file")
     try:
@@ -295,24 +299,21 @@ def load_stencil(path: str) -> Stencil:
         scale = int(scale)
     except ValueError as exc:
         raise StencilFileError(f"{path}: malformed header: {exc}") from None
+    # Shift entries per term line.  A dimension below 1 is refused after the
+    # terms are read, and split() takes at most sys.maxsize splits.
+    entries = min(max(dim, 0), sys.maxsize - 1)
     terms = []
     for lineno, line in lines[3:]:
-        fields = line.split(None, 1)
+        fields = line.split(None, entries + 1)
         if fields[0] != "term" or len(fields) < 2:
             raise StencilFileError(f"{path}:{lineno}: expected 'term s1 ... sN c'")
-        rest = fields[1]
-        shift_parts = []
-        for _ in range(dim):
-            split = rest.split(None, 1)
-            if len(split) < 2:
-                raise StencilFileError(
-                    f"{path}:{lineno}: term needs {dim} shift entries and a coefficient"
-                )
-            shift_parts.append(split[0])
-            rest = split[1]
-        coeff_text = rest.strip()
+        if len(fields) < entries + 2:
+            raise StencilFileError(
+                f"{path}:{lineno}: term needs {dim} shift entries and a coefficient"
+            )
+        coeff_text = fields[-1].strip()
         try:
-            shift = tuple(float(v) for v in shift_parts)
+            shift = tuple(float(v) for v in fields[1:-1])
         except ValueError:
             raise StencilFileError(f"{path}:{lineno}: invalid shift entry") from None
         if coeff_text.startswith('"'):

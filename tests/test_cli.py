@@ -367,6 +367,40 @@ class TestSolveCommand:
         assert code == 1
 
 
+RHS = "sin(3*x1) * exp(-x2)"
+RHS_OPERATORS = [("poisson", []), ("biharmonic", ["--lap-boundary", "x1 - x2"])]
+
+
+class TestRhsGrid:
+    @pytest.mark.parametrize("operator, extra", RHS_OPERATORS)
+    def test_saved_rhs_equals_rhs_expression(self, box_grid, tmp_path, capsys, operator, extra):
+        rhs = tmp_path / "f.grd"
+        save_grid(sample(RHS, load_grid(box_grid).spec), str(rhs))
+
+        def solve(tag, *rhs_args):
+            out = tmp_path / f"{tag}.grd"
+            argv = ["solve", operator, "--grid", box_grid, "--boundary", "x1*x2", *rhs_args]
+            code = main([*argv, *extra, "--output", str(out)])
+            return code, capsys.readouterr().out, out.read_bytes()
+
+        from_grid = solve("grid", "--rhs-grid", str(rhs))
+        assert from_grid[0] == 0
+        assert from_grid == solve("expression", "--rhs", RHS)
+
+    @pytest.mark.parametrize("operator, extra", RHS_OPERATORS)
+    def test_rhs_on_another_grid_exits_1(self, box_grid, tmp_path, capsys, operator, extra):
+        rhs = tmp_path / "f.grd"
+        save_grid(sample(RHS, GridSpec((0.0, 0.0), 1 / 8, (17, 17))), str(rhs))
+        out = tmp_path / "s.grd"
+        argv = ["solve", operator, "--grid", box_grid, "--rhs-grid", str(rhs), *extra]
+        assert main([*argv, "--output", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ") and "share one grid" in captured.err
+        assert not out.exists()
+
+
 class TestMollifyCommand:
     def test_smooths_and_reports_validators(self, tmp_path, capsys):
         spec = GridSpec((-1.0, -1.0), 1 / 16, (33, 33))

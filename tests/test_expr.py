@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pardiff.expr import (
+    _NUMBER_RE,
+    FUNCTIONS,
     BinOp,
     Call,
     ExprEvalError,
@@ -16,6 +18,8 @@ from pardiff.expr import (
     evaluate_nodes,
     parse,
     to_string,
+    _Parser,
+    _tokenize,
 )
 
 import numpy as np
@@ -246,3 +250,115 @@ class TestEvaluateNodes:
         assert message.count("at point") == 1
         assert "failed at node (0,): ln(0.0) failed: math domain error at point (0.0,)" in message
         assert err.value.point == (0.0,)
+
+
+def reference_tokenize(text):
+    """The tokenizer that ``_tokenize`` replaced, kept as its reference.
+
+    It starts a number on ``str.isdigit()`` but reads it with ``\\d``, so a
+    digit that is not decimal, such as ``²``, fails its ``assert``.
+    """
+    tokens = []
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c in "+-*/^()":
+            tokens.append((c, c, i))
+            i += 1
+            continue
+        if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
+            m = _NUMBER_RE.match(text, i)
+            assert m is not None
+            tokens.append(("number", m.group(), i))
+            i = m.end()
+            continue
+        if c.isalpha() or c == "_":
+            j = i + 1
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(("ident", text[i:j], i))
+            i = j
+            continue
+        raise ExprSyntaxError(f"unexpected character {c!r}", i)
+    tokens.append(("end", "", n))
+    return tokens
+
+
+class ReferenceParser(_Parser):
+    """The reference tokenizer with the separate sum and product loops ``expr`` replaced."""
+
+    def __init__(self, text):
+        super().__init__("")
+        self.tokens = reference_tokenize(text)
+
+    def expr(self):
+        left, height = self.term()
+        while self.peek()[0] in "+-":
+            op, _, offset = self.advance()
+            right, right_height = self.term()
+            left, height = self.checked(
+                BinOp(op, left, right), 1 + max(height, right_height), offset
+            )
+        return left, height
+
+    def term(self):
+        left, height = self.unary()
+        while self.peek()[0] in "*/":
+            op, _, offset = self.advance()
+            right, right_height = self.unary()
+            left, height = self.checked(
+                BinOp(op, left, right), 1 + max(height, right_height), offset
+            )
+        return left, height
+
+
+def outcome(run, text):
+    """What ``run(text)`` returns, or the text and offset of its ExprSyntaxError."""
+    try:
+        return run(text)
+    except ExprSyntaxError as exc:
+        return str(exc), exc.offset
+
+
+READER_CASES = [
+    ".5", "5.", "1.e5", ".e5", "1e", "e5", "x01", "_a", "٣", "x١", "x1\t+\t2", "\tx1\t",
+    "1.5.2", "x1 + .5e-3*x2", "2x1", "x1^2^-3", "sin(x1)*ln(2)/-x2", "1 - - 1", "(x1",
+    "x1)", "", "  ", "1e999", "x0", "foo(1)", "sin x1", "x1 $ 2", "٣.٥e٢", "x²", "½",
+    "(" * 101 + "x1" + ")" * 101, "+".join(["x1"] * 102), "*".join(["x1"] * 102),
+    "-".join(["x1"] * 50) + "*" + "/".join(["x1"] * 60), "x1^" * 101 + "x1",
+]
+
+
+class TestReadersAgainstReference:
+    @pytest.mark.parametrize("text", READER_CASES)
+    def test_same_tokens_and_tree_or_same_error(self, text):
+        assert outcome(_tokenize, text) == outcome(reference_tokenize, text)
+        assert outcome(parse, text) == outcome(lambda t: ReferenceParser(t).parse(), text)
+
+    @given(st.text(alphabet="x12.e5E+-*/^() \t_a٣sinl", max_size=40))
+    def test_random_text(self, text):
+        assert outcome(parse, text) == outcome(lambda t: ReferenceParser(t).parse(), text)
+
+    @pytest.mark.parametrize("text, offset", [("²", 0), ("1²", 1), ("x1+2²", 4), (".²", 0)])
+    def test_non_decimal_numerals_are_syntax_errors(self, text, offset):
+        with pytest.raises(AssertionError):
+            reference_tokenize(text)
+        with pytest.raises(ExprSyntaxError) as err:
+            parse(text)
+        assert str(err.value) == f"unexpected character {text[offset]!r} (offset {offset})"
+        assert err.value.offset == offset
+
+
+@pytest.mark.parametrize("name", sorted(FUNCTIONS))
+def test_scalar_and_array_forms_agree(name):
+    points = np.array([-2.5, -1.0, 0.0, 0.5, 1.0, 3.0, 700.0, 710.0])
+    tree = Call(name, Var(1))
+    arrays = evaluate_arrays(tree, [points])
+    for x, y in zip(points, arrays):
+        try:
+            assert math.isclose(evaluate(tree, (x,)), y, rel_tol=1e-12)
+        except ExprEvalError:
+            assert not np.isfinite(y)

@@ -4,8 +4,10 @@ import os
 import numpy as np
 import pytest
 
-from pardiff.expr import BinOp, parse
-from pardiff.grid import GridFunction, GridSpec, sample
+from pardiff.expr import BinOp, ExprSyntaxError, parse
+from pardiff.grid import (
+    GridFunction, GridSpec, _content_lines, _header_fields, _read_text, sample,
+)
 from pardiff.stencil import (
     Stencil,
     StencilFileError,
@@ -420,3 +422,117 @@ class TestStencilFiles:
         path.write_text("dim 1\nh 0.5\n")
         with pytest.raises(StencilFileError, match="truncated"):
             load_stencil(str(path))
+
+    def test_undecodable_file_names_the_file_and_offset(self, tmp_path):
+        path = tmp_path / "u.stn"
+        path.write_bytes(b"dim 1\nh 0.5\nscale 0\nterm 1  1\n# \xff\nterm 0  -1\n")
+        with pytest.raises(StencilFileError) as err:
+            load_stencil(str(path))
+        assert str(err.value) == f"{path}: not valid UTF-8 at byte offset 32: invalid start byte"
+
+
+def reference_load_stencil(path):
+    """The loader with the per-entry term-splitting loop that ``load_stencil`` replaced."""
+    lines = _content_lines(_read_text(path))
+    if len(lines) < 4:
+        raise StencilFileError(f"{path}: truncated stencil file")
+    try:
+        (dim,) = _header_fields(path, *lines[0], "dim", 1)
+        dim = int(dim)
+        (h,) = _header_fields(path, *lines[1], "h", 1)
+        h = float(h)
+        (scale,) = _header_fields(path, *lines[2], "scale", 1)
+        scale = int(scale)
+    except ValueError as exc:
+        raise StencilFileError(f"{path}: malformed header: {exc}") from None
+    terms = []
+    for lineno, line in lines[3:]:
+        fields = line.split(None, 1)
+        if fields[0] != "term" or len(fields) < 2:
+            raise StencilFileError(f"{path}:{lineno}: expected 'term s1 ... sN c'")
+        rest = fields[1]
+        shift_parts = []
+        for _ in range(dim):
+            split = rest.split(None, 1)
+            if len(split) < 2:
+                raise StencilFileError(
+                    f"{path}:{lineno}: term needs {dim} shift entries and a coefficient"
+                )
+            shift_parts.append(split[0])
+            rest = split[1]
+        coeff_text = rest.strip()
+        try:
+            shift = tuple(float(v) for v in shift_parts)
+        except ValueError:
+            raise StencilFileError(f"{path}:{lineno}: invalid shift entry") from None
+        if coeff_text.startswith('"'):
+            if not (coeff_text.endswith('"') and len(coeff_text) >= 2):
+                raise StencilFileError(f"{path}:{lineno}: unterminated coefficient expression")
+            try:
+                coeff = parse(coeff_text[1:-1])
+            except ExprSyntaxError as exc:
+                raise StencilFileError(
+                    f"{path}:{lineno}: bad coefficient expression: {exc} "
+                    f"(offset within the quoted text)"
+                ) from None
+        else:
+            try:
+                coeff = float(coeff_text)
+            except ValueError:
+                raise StencilFileError(
+                    f"{path}:{lineno}: coefficient must be a number or a quoted expression"
+                ) from None
+        try:
+            terms.append(StencilTerm(shift, coeff))
+        except ValueError as exc:
+            raise StencilFileError(f"{path}:{lineno}: {exc}") from None
+    try:
+        return Stencil(dim, h, tuple(terms), scale_exp=scale)
+    except ValueError as exc:
+        raise StencilFileError(f"{path}: {exc}") from None
+
+
+def stencil_outcome(load, path):
+    """The loaded stencil, or the type and text of the error."""
+    try:
+        return load(str(path))
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+HEAD = "h 0.5\nscale 2\n"
+STENCIL_FILES = {
+    "plain": "dim 2\n" + HEAD + 'term 1 0  1\nterm 0 1  -2.5\nterm -1 0  "x1 * x2"\n',
+    "dim-0-with-terms": "dim 0\n" + HEAD + "term 1\nterm 2\n",
+    "dim-0-two-fields": "dim 0\n" + HEAD + "term 0 1\n",
+    "dim-minus-1-with-terms": "dim -1\n" + HEAD + "term 1\n",
+    "dim-minus-1-two-fields": "dim -1\n" + HEAD + "term 0 1\n",
+    "dim-minus-2-with-terms": "dim -2\n" + HEAD + "term 0 0 1\n",
+    "dim-huge": "dim 1000000000000000000000000000000\n" + HEAD + "term 0 0 1\n",
+    "term-alone": "dim 1\n" + HEAD + "term\n",
+    "term-alone-with-spaces": "dim 1\n" + HEAD + "term   \t\n",
+    "not-a-term": "dim 1\n" + HEAD + "terms 1 1\n",
+    "too-few-shift-entries": "dim 3\n" + HEAD + "term 1 0  1\n",
+    "shift-entries-only": "dim 2\n" + HEAD + "term 1 0\n",
+    "extra-field": "dim 2\n" + HEAD + "term 1 0 1  2\n",
+    "tab-separators": "dim 2\n" + HEAD + "term\t1\t0\t\t1.5\t\n",
+    "quoted-expression-with-spaces": "dim 2\n" + HEAD + 'term 0 1   "x1 ^ 2 + sin( x2 )"  \n',
+    "quoted-expression-too-few-shifts": "dim 2\n" + HEAD + 'term 0 "x1 + 1"\n',
+    "unterminated-quote": "dim 1\n" + HEAD + 'term 0 "x1 + 1\n',
+    "bad-expression": "dim 1\n" + HEAD + 'term 0 "x1 +* 1"\n',
+    "bad-shift": "dim 2\n" + HEAD + "term 1 a  1\n",
+    "non-finite-shift": "dim 1\n" + HEAD + "term inf  1\n",
+    "real-shift": "dim 1\n" + HEAD + "term 0.5  1\nterm 0 -1\n",
+    "crlf": ("dim 2\n" + HEAD + "term 1 0  1\nterm 0 1  -1\n").replace("\n", "\r\n"),
+    "comment-lines": "# op\ndim 1\n# spacing\n" + HEAD + "term 1  1\n  # between\nterm 0  -1\n",
+    "unicode-spaces": "dim 2\n" + HEAD + "term\u20031\u00a00\u2003 1\x85\n",
+    "header-only": "dim 1\n" + HEAD,
+}
+
+
+class TestTermSplitAgainstReference:
+    @pytest.mark.parametrize("name", sorted(STENCIL_FILES))
+    def test_same_stencil_or_same_error(self, tmp_path, name):
+        path = tmp_path / "s.stn"
+        path.write_bytes(STENCIL_FILES[name].encode())
+        assert stencil_outcome(load_stencil, path) == stencil_outcome(reference_load_stencil, path)
