@@ -5,11 +5,13 @@ Boundary-value problems use the centered second-difference operator
     sum_a [u(x + h e_a) - 2 u(x) + u(x - h e_a)]
 
 with a red-black SOR iteration (relaxation factor from the model-problem
-optimum for the box).  Each color is swept as strided sublattices, and the
-neighbour sums one half-sweep computes are reused for the residual and the
-next half-sweep, since they read only the other color.  The forward-shifted
-operator remains available through the stencil module for verification of
-the difference equations themselves.
+optimum for the box).  The grid is padded to odd strides, so each color is
+one stride-2 view of the flat array, and the neighbour sums one half-sweep
+computes are reused for the residual and the next half-sweep, since they
+read only the other color.  A sweep that overflows on an interior node
+raises ``OverflowError``.  The forward-shifted operator remains available
+through the stencil module for verification of the difference equations
+themselves.
 """
 
 from __future__ import annotations
@@ -229,26 +231,9 @@ class SolveReport:
 
 
 def _boundary_mask(extents: Sequence[int]) -> np.ndarray:
-    mask = np.zeros(tuple(extents), dtype=bool)
-    for a in range(len(extents)):
-        edge = [slice(None)] * len(extents)
-        edge[a] = 0
-        mask[tuple(edge)] = True
-        edge[a] = extents[a] - 1
-        mask[tuple(edge)] = True
+    mask = np.ones(tuple(extents), dtype=bool)
+    mask[tuple(slice(1, -1) for _ in extents)] = False
     return mask
-
-
-def _neighbor_sum(u: np.ndarray) -> np.ndarray:
-    n = u.ndim
-    s = np.zeros(tuple(e - 2 for e in u.shape))
-    for a in range(n):
-        up = [slice(1, -1)] * n
-        dn = [slice(1, -1)] * n
-        up[a] = slice(2, None)
-        dn[a] = slice(None, -2)
-        s += u[tuple(up)] + u[tuple(dn)]
-    return s
 
 
 def _sor_dirichlet(
@@ -264,55 +249,67 @@ def _sor_dirichlet(
     initial guess.  The relaxation factor is the model-problem optimum
     ``2 / (1 + sin(pi h / L))`` with L the longest box side.
 
-    An interior node is red when the sum of its interior indices is even,
-    and each color is swept as strided sublattices, one per index parity.
-    Every neighbour of a node has the other color, so two half-grid
-    neighbour sums per iteration serve everything: black's serve the black
-    relaxation and the black residual, red's, taken after the black
+    An interior node is red when the sum of its interior indices is even.
+    The grid is copied into an array whose axes after the first are padded
+    with zeros to an odd length, so every stride is odd and a node's color
+    is the parity of its flat index: each color is one stride-2 view
+    (:class:`_Color`).  Every neighbour of a node has the other color, so two
+    half-grid neighbour sums per iteration serve everything: black's serve
+    the black relaxation and the black residual, red's, taken after the black
     relaxation, serve the red residual and the next red relaxation.
+
+    The color views also cover ring and pad nodes: their updates are
+    computed but never written, and may overflow without harm.  An interior
+    residual that is not finite raises ``OverflowError``.
     """
     spec = boundary.spec
+    extents = spec.extents
     n = spec.dim
-    if any(e < 3 for e in spec.extents):
+    if any(e < 3 for e in extents):
         raise ValueError("solver needs at least 3 nodes per axis")
     if tol <= 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     h = spec.h
-    u = boundary.values.copy()
-    interior = tuple(slice(1, -1) for _ in range(n))
-    b_int = (
-        np.zeros(tuple(e - 2 for e in spec.extents))
-        if rhs_values is None
-        else (h * h) * rhs_values[interior]
+    grid = tuple(slice(0, e) for e in extents)
+    interior = tuple(slice(1, e - 1) for e in extents)
+    u = np.zeros(extents[:1] + tuple(e | 1 for e in extents[1:]))
+    u[grid] = boundary.values
+    b = np.zeros_like(u)
+    if rhs_values is not None:
+        b[interior] = (h * h) * rhs_values[interior]
+    inside = np.zeros(u.shape, dtype=bool)
+    inside[interior] = True
+    steps = [s // u.itemsize for s in u.strides]
+    first = sum(steps)  # node (1, ..., 1), which is red
+    stop = sum((e - 2) * s for e, s in zip(extents, steps)) + 1
+    red, black = (
+        _Color(u.reshape(-1), b.reshape(-1), inside.reshape(-1), steps, slice(start, stop, 2))
+        for start in (first, first + 1)
     )
-    length = max((e - 1) * h for e in spec.extents)
+    length = max((e - 1) * h for e in extents)
     omega = 2.0 / (1.0 + math.sin(math.pi * h / length))
     # 0-d arrays: numpy combines them with arrays faster than Python floats
     two_n, w, keep = np.array(2.0 * n), np.array(omega), np.array(1.0 - omega)
-    res = np.empty_like(b_int)
-    red, black = _color_sublattices(u, b_int, res)
-    for sub in red:
-        sub.neighbor_sum()
 
     iterations = 0
     best = math.inf
-    for iterations in range(1, max_iter + 1):
-        for sub in red:
-            sub.relax(two_n, w, keep)
-        for sub in black:
-            sub.neighbor_sum()
-            sub.relax(two_n, w, keep)
-        for sub in red:
-            sub.neighbor_sum()
-        for sub in red + black:
-            sub.residual(two_n)
-        best = float(np.abs(res, out=res).max()) * residual_scale
-        if best <= tol:
-            break
+    with np.errstate(over="ignore", invalid="ignore"):
+        red.neighbor_sum()
+        for iterations in range(1, max_iter + 1):
+            red.relax(two_n, w, keep)
+            black.neighbor_sum()
+            black.relax(two_n, w, keep)
+            red.neighbor_sum()
+            largest = (red.residual(two_n), black.residual(two_n))
+            if not all(map(math.isfinite, largest)):
+                raise OverflowError(f"SOR sweep overflows at iteration {iterations}")
+            best = max(largest) * residual_scale
+            if best <= tol:
+                break
     return SolveReport(
-        solution=GridFunction(spec, u),
+        solution=GridFunction(spec, u[grid]),
         iterations=iterations,
         final_residual=best,
         converged=best <= tol,
@@ -322,38 +319,37 @@ def _sor_dirichlet(
 _ZERO = np.array(0.0)
 
 
-class _Sublattice:
-    """The interior nodes ``1 + p + 2k`` of one index parity ``p``, as strided views.
+class _Color:
+    """The nodes of one color from node (1, ..., 1) to the last interior node.
 
-    ``u``, its 2n neighbour views and its slice of the residual are views
-    taken once.  The rows of ``buffers`` hold contiguous copies of its slice
-    of the scaled right-hand side ``b``, its neighbour sum ``ns`` and scratch
-    space.  Every step works elementwise in the order of the full-grid
-    formulas (``_neighbor_sum``, ``(ns - b) / 2n``, ``(1 - omega) u + omega
-    target``, ``ns - 2n u - b``), so the iterates are bit-for-bit those of a
-    full-grid sweep that updates one color through a boolean mask.
+    ``u`` is the stride-2 view ``span`` of the flat padded grid, and its
+    neighbours along an axis are the same view shifted by that axis's
+    stride.  ``b`` (the scaled right-hand side) and ``inside`` (the interior
+    mask) are contiguous copies of the same span; ``ns`` holds the neighbour
+    sum and ``tmp`` scratch space.  Every step works elementwise in the order
+    of the full-grid formulas (``0 + (up + dn)`` axis by axis, ``(ns - b) /
+    2n``, ``(1 - omega) u + omega target``, ``ns - 2n u - b``), so the
+    iterates are bit-for-bit those of a full-grid sweep that updates one
+    color through a boolean mask.
     """
 
     def __init__(
         self,
-        u: np.ndarray,
-        b_int: np.ndarray,
-        res: np.ndarray,
-        parity: Sequence[int],
-        buffers: np.ndarray,
+        flat: np.ndarray,
+        b: np.ndarray,
+        inside: np.ndarray,
+        steps: Sequence[int],
+        span: slice,
     ):
-        own = [slice(1 + p, e - 1, 2) for p, e in zip(parity, u.shape)]
-        self.u = u[tuple(own)]
-        self.pairs = []
-        for a, (p, e) in enumerate(zip(parity, u.shape)):
-            up, dn = list(own), list(own)
-            up[a] = slice(2 + p, e, 2)
-            dn[a] = slice(p, e - 2, 2)
-            self.pairs.append((u[tuple(up)], u[tuple(dn)]))
-        inner = tuple(slice(p, None, 2) for p in parity)
-        self.res = res[inner]
-        self.b, self.ns, self.tmp = (row[: self.u.size].reshape(self.u.shape) for row in buffers)
-        self.b[...] = b_int[inner]
+        self.u = flat[span]
+        self.pairs = [
+            (flat[span.start + s : span.stop + s : 2], flat[span.start - s : span.stop - s : 2])
+            for s in steps
+        ]
+        self.b = b[span].copy()
+        self.inside = inside[span].copy()
+        self.ns = np.empty_like(self.b)
+        self.tmp = np.empty_like(self.b)
 
     def neighbor_sum(self) -> None:
         (up, dn), *rest = self.pairs
@@ -365,35 +361,19 @@ class _Sublattice:
             self.ns += self.tmp
 
     def relax(self, two_n: np.ndarray, omega: np.ndarray, keep: np.ndarray) -> None:
-        """``u = keep u + omega (ns - b) / 2n``, with ``keep = 1 - omega``."""
+        """``u = keep u + omega (ns - b) / 2n`` on the interior, with ``keep = 1 - omega``."""
         t = np.subtract(self.ns, self.b, out=self.tmp)
         t /= two_n
         t *= omega
-        self.u *= keep
-        self.u += t
+        np.multiply(self.u, keep, out=self.u, where=self.inside)
+        np.add(self.u, t, out=self.u, where=self.inside)
 
-    def residual(self, two_n: np.ndarray) -> None:
-        r = np.multiply(self.u, two_n, out=self.res)
+    def residual(self, two_n: np.ndarray) -> float:
+        """The largest ``|ns - 2n u - b|`` over the interior nodes of this color."""
+        r = np.multiply(self.u, two_n, out=self.tmp)
         np.subtract(self.ns, r, out=r)
         r -= self.b
-
-
-def _color_sublattices(
-    u: np.ndarray, b_int: np.ndarray, res: np.ndarray
-) -> tuple[list[_Sublattice], list[_Sublattice]]:
-    """The nonempty sublattices of the red and of the black interior nodes."""
-    colors: tuple[list[_Sublattice], list[_Sublattice]] = ([], [])
-    # One allocation for all sublattices: an array per sublattice (about
-    # 128 KiB each at 257^2) fragmented the heap, and peak memory rose by
-    # about 1 MiB over a minute of repeated solves.
-    buffers = np.empty((3, res.size))
-    start = 0
-    for parity in np.ndindex(*([2] * u.ndim)):
-        sub = _Sublattice(u, b_int, res, parity, buffers[:, start:])
-        start += sub.u.size
-        if sub.u.size:
-            colors[sum(parity) % 2].append(sub)
-    return colors
+        return float(np.abs(r, out=r).max(where=self.inside, initial=0.0))
 
 
 def solve_laplace_dirichlet(
@@ -422,8 +402,13 @@ def solve_poisson_dirichlet(
 def _centered_laplacian(values: np.ndarray, h: float) -> np.ndarray:
     """Scaled centered second-difference sum on the interior (shrinks by one)."""
     n = values.ndim
-    interior = tuple(slice(1, -1) for _ in range(n))
-    return (_neighbor_sum(values) - 2.0 * n * values[interior]) / (h * h)
+    interior = (slice(1, -1),) * n
+    s = np.zeros(tuple(e - 2 for e in values.shape))
+    for a in range(n):
+        up, dn = list(interior), list(interior)
+        up[a], dn[a] = slice(2, None), slice(None, -2)
+        s += values[tuple(up)] + values[tuple(dn)]
+    return (s - 2.0 * n * values[interior]) / (h * h)
 
 
 def solve_biharmonic(

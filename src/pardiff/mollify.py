@@ -240,21 +240,15 @@ def derivative_commute(f: GridFunction, kernel: MollifierKernel, axis: int) -> f
     smoothed = convolve(f, kernel)
     if smoothed.spec.extents[a] < 3:
         raise MollifierError("insufficient margin for the centered difference")
-    up = [slice(None)] * dim
-    dn = [slice(None)] * dim
-    up[a] = slice(2, None)
-    dn[a] = slice(None, -2)
-    side_a = (smoothed.values[tuple(up)] - smoothed.values[tuple(dn)]) / (2.0 * h)
+    lead = (slice(None),) * a
 
-    kv = kernel.samples.values
+    def centered(v: np.ndarray) -> np.ndarray:
+        return (v[lead + (slice(2, None),)] - v[lead + (slice(None, -2),)]) / (2.0 * h)
+
+    side_a = centered(smoothed.values)
     pad = [(0, 0)] * dim
     pad[a] = (2, 2)
-    kp = np.pad(kv, pad)
-    hi = [slice(None)] * dim
-    lo = [slice(None)] * dim
-    hi[a] = slice(2, None)
-    lo[a] = slice(None, -2)
-    dk = (kp[tuple(hi)] - kp[tuple(lo)]) / (2.0 * h)
+    dk = centered(np.pad(kernel.samples.values, pad))
 
     side_b = h**dim * _valid_convolve(f.values, dk)
     return float(np.abs(side_a - side_b).max())

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -376,7 +377,10 @@ def _masked_sor_reference(boundary, rhs_values, tol, max_iter, residual_scale):
     return u, iterations, best, best <= tol
 
 
-SWEEP_EXTENTS = [(3, 3), (5, 8), (9, 9), (4, 17), (3, 3, 3), (4, 5, 6), (9, 9, 9)]
+SWEEP_EXTENTS = [
+    (3, 3), (5, 8), (9, 9), (4, 17), (3, 3, 3), (4, 5, 6), (9, 9, 9),
+    (7,), (6, 6), (4, 4, 4), (3, 4, 3, 4),
+]
 
 
 class TestSweepMatchesMaskedReference:
@@ -421,6 +425,34 @@ class TestSweepMatchesMaskedReference:
         assert report.converged == converged
         if max_iter == 100_000:
             assert converged
+
+    def test_ring_sums_may_overflow(self):
+        # Ring node (2, 0) of a color view sums its two face neighbours and
+        # (1, 4) past the row end to more than the largest double; no
+        # interior neighbour sum overflows.
+        spec = GridSpec((0.0, 0.0), 0.25, (5, 5))
+        values = np.zeros((5, 5))
+        values[:, 0] = values[:, -1] = 6e307
+        boundary = GridFunction(spec, values)
+        with np.errstate(all="raise"):
+            report = solve_laplace_dirichlet(boundary, tol=1e308, max_iter=1)
+            expected = _masked_sor_reference(boundary, None, 1e308, 1, 1.0)
+        values, iterations, final_residual, converged = expected
+        assert np.array_equal(report.solution.values, values)
+        assert (report.iterations, report.final_residual, report.converged) == (
+            iterations, final_residual, converged
+        )
+        assert converged
+
+    def test_interior_overflow_raises_without_a_warning(self):
+        spec = GridSpec((0.0, 0.0), 0.25, (5, 5))
+        boundary = zero_interior(GridFunction(spec, np.full((5, 5), 1e308)))
+        with warnings.catch_warnings(), np.errstate(
+            divide="warn", over="warn", invalid="warn", under="ignore"
+        ):
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(OverflowError, match="^SOR sweep overflows at iteration 1$"):
+                solve_laplace_dirichlet(boundary, tol=1e-10, max_iter=10)
 
 
 class TestBiharmonicSolver:
