@@ -8,7 +8,8 @@ byte-identical output.  Files are written through ``grid._atomic_write``,
 never left half-written.
 
 Exit codes: 0 success, 1 input or parse error, 2 numerical failure
-(non-convergence, coefficient evaluation failure or floating-point overflow).
+(non-convergence, coefficient evaluation failure or floating-point overflow)
+or running out of memory.
 Commands run with numpy's overflow, invalid and divide errors raised, so a
 numerical failure ends in one ``error:`` line rather than a warning.
 """
@@ -313,6 +314,10 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     except (_NumericalFailure, ExprEvalError, MollifierError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 2
     # Usage, syntax, file-format and size errors are all ValueErrors, as are the
     # two exit-2 errors above; those are caught first.

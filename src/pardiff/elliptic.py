@@ -5,8 +5,9 @@ Boundary-value problems use the centered second-difference operator
     sum_a [u(x + h e_a) - 2 u(x) + u(x - h e_a)]
 
 with a red-black SOR iteration (relaxation factor from the model-problem
-optimum for the box).  The grid is padded to odd strides, so each color is
-one stride-2 view of the flat array, and the neighbour sums one half-sweep
+optimum for the box).  The grid is padded to odd strides and split into its
+even and odd flat indices, so each color and each of its neighbour shifts is
+one contiguous slice of one half, and the neighbour sums one half-sweep
 computes are reused for the residual and the next half-sweep, since they
 read only the other color.  A sweep that overflows on an interior node
 raises ``OverflowError``.  The forward-shifted operator remains available
@@ -252,15 +253,19 @@ def _sor_dirichlet(
     An interior node is red when the sum of its interior indices is even.
     The grid is copied into an array whose axes after the first are padded
     with zeros to an odd length, so every stride is odd and a node's color
-    is the parity of its flat index: each color is one stride-2 view
-    (:class:`_Color`).  Every neighbour of a node has the other color, so two
-    half-grid neighbour sums per iteration serve everything: black's serve
-    the black relaxation and the black residual, red's, taken after the black
-    relaxation, serve the red residual and the next red relaxation.
+    is the parity of its flat index.  The sweep keeps the even and the odd
+    flat indices as two contiguous halves, so each color and each of its
+    neighbour shifts is one contiguous slice of one half (:class:`_Color`);
+    the halves are interleaved back once, when the sweep ends.  Every
+    neighbour of a node has the other color, so two half-grid neighbour sums
+    per iteration serve everything: black's serve the black relaxation and
+    the black residual, red's, taken after the black relaxation, serve the
+    red residual and the next red relaxation.
 
-    The color views also cover ring and pad nodes: their updates are
-    computed but never written, and may overflow without harm.  An interior
-    residual that is not finite raises ``OverflowError``.
+    The color slices also cover ring and pad nodes: their updates are
+    computed and then overwritten with the saved values, and may overflow
+    without harm.  An interior residual that is not finite raises
+    ``OverflowError``.
     """
     spec = boundary.spec
     extents = spec.extents
@@ -276,17 +281,20 @@ def _sor_dirichlet(
     interior = tuple(slice(1, e - 1) for e in extents)
     u = np.zeros(extents[:1] + tuple(e | 1 for e in extents[1:]))
     u[grid] = boundary.values
-    b = np.zeros_like(u)
+    b = None
     if rhs_values is not None:
+        b = np.zeros_like(u)
         b[interior] = (h * h) * rhs_values[interior]
+        b = b.reshape(-1)
     inside = np.zeros(u.shape, dtype=bool)
     inside[interior] = True
+    flat = u.reshape(-1)
+    halves = (flat[0::2].copy(), flat[1::2].copy())
     steps = [s // u.itemsize for s in u.strides]
     first = sum(steps)  # node (1, ..., 1), which is red
     stop = sum((e - 2) * s for e, s in zip(extents, steps)) + 1
     red, black = (
-        _Color(u.reshape(-1), b.reshape(-1), inside.reshape(-1), steps, slice(start, stop, 2))
-        for start in (first, first + 1)
+        _Color(halves, b, inside.reshape(-1), steps, start, stop) for start in (first, first + 1)
     )
     length = max((e - 1) * h for e in extents)
     omega = 2.0 / (1.0 + math.sin(math.pi * h / length))
@@ -308,6 +316,7 @@ def _sor_dirichlet(
             best = max(largest) * residual_scale
             if best <= tol:
                 break
+    flat[0::2], flat[1::2] = halves
     return SolveReport(
         solution=GridFunction(spec, u[grid]),
         iterations=iterations,
@@ -322,34 +331,48 @@ _ZERO = np.array(0.0)
 class _Color:
     """The nodes of one color from node (1, ..., 1) to the last interior node.
 
-    ``u`` is the stride-2 view ``span`` of the flat padded grid, and its
-    neighbours along an axis are the same view shifted by that axis's
-    stride.  ``b`` (the scaled right-hand side) and ``inside`` (the interior
-    mask) are contiguous copies of the same span; ``ns`` holds the neighbour
-    sum and ``tmp`` scratch space.  Every step works elementwise in the order
-    of the full-grid formulas (``0 + (up + dn)`` axis by axis, ``(ns - b) /
-    2n``, ``(1 - omega) u + omega target``, ``ns - 2n u - b``), so the
-    iterates are bit-for-bit those of a full-grid sweep that updates one
-    color through a boolean mask.
+    ``halves`` holds the even and the odd flat indices of the padded grid as
+    two contiguous arrays.  Every stride is odd, so flat index ``j`` is entry
+    ``j // 2`` of half ``j % 2``, and the color's nodes (flat indices ``start,
+    start + 2, ...`` below ``stop``) are one contiguous slice ``u`` of one
+    half; their neighbours along an axis, shifted by that axis's stride, are
+    one contiguous slice of the other half.  ``b`` (the scaled right-hand
+    side, None for Laplace, where it is zero) is a contiguous copy of the same
+    nodes; ``ns`` holds the neighbour sum and ``tmp`` scratch space.
+
+    Every step works elementwise in the order of the full-grid formulas (``0 +
+    (up + dn)`` axis by axis, ``(ns - b) / 2n``, ``(1 - omega) u + omega
+    target``, ``ns - 2n u - b``), so the iterates are bit-for-bit those of a
+    full-grid sweep that updates one color through a boolean mask.  Skipping
+    a zero ``b`` changes no bit, since ``x - 0.0`` is ``x``.  The slice also
+    covers ring and pad nodes: ``relax`` updates them with the rest and then
+    writes their saved values back through the index array ``outside``, and
+    ``residual`` zeroes their entries before taking the maximum.
     """
 
     def __init__(
         self,
-        flat: np.ndarray,
-        b: np.ndarray,
+        halves: tuple[np.ndarray, np.ndarray],
+        b: np.ndarray | None,
         inside: np.ndarray,
         steps: Sequence[int],
-        span: slice,
+        start: int,
+        stop: int,
     ):
-        self.u = flat[span]
-        self.pairs = [
-            (flat[span.start + s : span.stop + s : 2], flat[span.start - s : span.stop - s : 2])
-            for s in steps
-        ]
-        self.b = b[span].copy()
-        self.inside = inside[span].copy()
-        self.ns = np.empty_like(self.b)
-        self.tmp = np.empty_like(self.b)
+        span = slice(start, stop, 2)
+        count = len(range(start, stop, 2))
+
+        def run(j: int) -> np.ndarray:
+            """The ``count`` nodes from flat index ``j`` in steps of 2."""
+            return halves[j % 2][j // 2 : j // 2 + count]
+
+        self.u = run(start)
+        self.pairs = [(run(start + s), run(start - s)) for s in steps]
+        self.b = None if b is None else b[span].copy()
+        self.outside = np.flatnonzero(~inside[span])
+        self.fixed = self.u[self.outside]
+        self.ns = np.empty(count)
+        self.tmp = np.empty(count)
 
     def neighbor_sum(self) -> None:
         (up, dn), *rest = self.pairs
@@ -362,18 +385,24 @@ class _Color:
 
     def relax(self, two_n: np.ndarray, omega: np.ndarray, keep: np.ndarray) -> None:
         """``u = keep u + omega (ns - b) / 2n`` on the interior, with ``keep = 1 - omega``."""
-        t = np.subtract(self.ns, self.b, out=self.tmp)
-        t /= two_n
+        if self.b is None:
+            t = np.divide(self.ns, two_n, out=self.tmp)
+        else:
+            t = np.subtract(self.ns, self.b, out=self.tmp)
+            t /= two_n
         t *= omega
-        np.multiply(self.u, keep, out=self.u, where=self.inside)
-        np.add(self.u, t, out=self.u, where=self.inside)
+        self.u *= keep
+        self.u += t
+        self.u[self.outside] = self.fixed
 
     def residual(self, two_n: np.ndarray) -> float:
         """The largest ``|ns - 2n u - b|`` over the interior nodes of this color."""
         r = np.multiply(self.u, two_n, out=self.tmp)
         np.subtract(self.ns, r, out=r)
-        r -= self.b
-        return float(np.abs(r, out=r).max(where=self.inside, initial=0.0))
+        if self.b is not None:
+            r -= self.b
+        r[self.outside] = 0.0
+        return float(np.abs(r, out=r).max(initial=0.0))
 
 
 def solve_laplace_dirichlet(

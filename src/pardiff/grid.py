@@ -76,8 +76,10 @@ class GridSpec:
         return math.prod(self.extents)
 
     def axis_coords(self, axis: int) -> np.ndarray:
-        """Node coordinates along a 0-based axis."""
-        return self.origin[axis] + self.h * np.arange(self.extents[axis])
+        """Node coordinates along a 0-based axis; index 0 is the origin as given (-0.0 too)."""
+        coords = self.origin[axis] + self.h * np.arange(self.extents[axis])
+        coords[0] = self.origin[axis]
+        return coords
 
     def meshes(self) -> list[np.ndarray]:
         """Per-axis coordinate arrays of shape ``extents`` (row-major node order)."""
@@ -85,14 +87,13 @@ class GridSpec:
         return list(np.meshgrid(*axes, indexing="ij"))
 
     def node(self, index: Sequence[int]) -> tuple[float, ...]:
-        return tuple(self.origin[a] + self.h * index[a] for a in range(self.dim))
+        return tuple(o + self.h * i if i else o for o, i in zip(self.origin, index))
 
     def shrunk(self, lo: Sequence[int], hi: Sequence[int]) -> "GridSpec":
         extents = tuple(e - l - u for e, l, u in zip(self.extents, lo, hi))
         if any(e < 1 for e in extents):
             raise ValueError(f"shrinking by {tuple(lo)}/{tuple(hi)} leaves an empty axis")
-        origin = tuple(o + self.h * l for o, l in zip(self.origin, lo))
-        return GridSpec(origin, self.h, extents)
+        return GridSpec(self.node(lo), self.h, extents)
 
 
 @dataclass(frozen=True)

@@ -684,7 +684,10 @@ class TestExpressionOptionLeadingMinus:
 class TestNegativeCoordinateSpellings:
     """Every spelling float() takes is a coordinate value, whatever argparse makes of it."""
 
-    SPELLINGS = ["-1e-05", "-1E-05", "-1e-5", "-1.0e-05", "-1.5", "-.5", "-2e+1", "-1_0", "-7"]
+    # -0 is printed as given: a probe's node 0 is its origin, not origin + h * 0.
+    SPELLINGS = [
+        "-1e-05", "-1E-05", "-1e-5", "-1.0e-05", "-1.5", "-.5", "-2e+1", "-1_0", "-7", "-0", "-0.0"
+    ]
 
     @pytest.mark.parametrize("value", SPELLINGS)
     def test_at(self, lap2, capsys, value):
@@ -752,6 +755,39 @@ class TestNodeLimit:
         assert main([a.format(stencil=lap2, huge=huge, out=out) for a in argv]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+
+class TestOutOfMemory:
+    """An allocation that fails ends in one error line and exit 2, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "message, expected",
+        [
+            ("Unable to allocate 8.00 GiB for an array",
+             "error: out of memory: Unable to allocate 8.00 GiB for an array\n"),
+            ("", "error: out of memory\n"),
+        ],
+        ids=["numpy-message", "no-message"],
+    )
+    @pytest.mark.parametrize("command", ["solve", "classify"])
+    def test_one_error_line_and_no_output(
+        self, lap2, box_grid, tmp_path, capsys, monkeypatch, message, expected, command
+    ):
+        out = tmp_path / "o.out"
+        argv = {
+            "solve": ["solve", "laplace", "--grid", box_grid, "--boundary", "x1*x2",
+                      "--output", str(out)],
+            "classify": ["classify", "--stencil", lap2, "--probe-origin", "0", "0", "--probe-h",
+                         "0.5", "--probe-extents", "3", "3", "--output", str(out)],
+        }[command]
+
+        def zeros(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(np, "zeros", zeros)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == expected
         assert not out.exists()
 
 

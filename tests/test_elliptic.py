@@ -455,6 +455,54 @@ class TestSweepMatchesMaskedReference:
                 solve_laplace_dirichlet(boundary, tol=1e-10, max_iter=10)
 
 
+def _padded_length(extents):
+    return extents[0] * math.prod(e | 1 for e in extents[1:])
+
+
+# Padded flat lengths both odd and even, and colours with many ring and pad
+# entries between their interior nodes.
+HALVES_EXTENTS = [(33, 17), (32, 17), (9, 5, 7), (8, 5, 7), (10, 6, 8), (33,), (32,)]
+
+
+class TestContiguousHalvesMatchMaskedReference:
+    """The sweep on contiguous colour halves reproduces the masked sweep bit for bit."""
+
+    def test_cases_cover_both_parities(self):
+        parities = {_padded_length(e) % 2 for e in HALVES_EXTENTS if len(e) > 1}
+        assert parities == {0, 1}
+
+    @pytest.mark.parametrize("extents", HALVES_EXTENTS, ids=lambda e: "x".join(map(str, e)))
+    @pytest.mark.parametrize("rhs", [False, True], ids=["laplace", "poisson"])
+    @pytest.mark.parametrize("max_iter", [1, 7, 100_000])
+    def test_bitwise_identical_and_ring_kept(self, extents, rhs, max_iter):
+        rng = np.random.default_rng(7 * sum(extents) + len(extents))
+        spec = GridSpec((0.0,) * len(extents), 1 / 16, extents)
+        # a nonzero initial guess, and -0.0 on ring and interior nodes alike
+        values = rng.standard_normal(extents)
+        values[rng.random(extents) < 0.25] = -0.0
+        boundary = GridFunction(spec, values)
+        tol = 1e-9
+        if rhs:
+            f = GridFunction(spec, rng.standard_normal(extents))
+            report = solve_poisson_dirichlet(f, boundary, tol=tol, max_iter=max_iter)
+            expected = _masked_sor_reference(
+                boundary, f.values, tol, max_iter, 1.0 / (spec.h * spec.h)
+            )
+        else:
+            report = solve_laplace_dirichlet(boundary, tol=tol, max_iter=max_iter)
+            expected = _masked_sor_reference(boundary, None, tol, max_iter, 1.0)
+        expected_values, iterations, final_residual, converged = expected
+        got = report.solution.values
+        assert np.array_equal(got, expected_values)
+        assert np.array_equal(np.signbit(got), np.signbit(expected_values))
+        ring = elliptic._boundary_mask(extents)
+        assert np.array_equal(got[ring].view(np.uint64), values[ring].view(np.uint64))
+        assert (report.iterations, report.final_residual, report.converged) == (
+            iterations, final_residual, converged
+        )
+        assert converged == (max_iter == 100_000)
+
+
 class TestBiharmonicSolver:
     def test_quadratic_exact_through_both_stages(self):
         spec = GridSpec((0.0, 0.0), 1 / 16, (17, 17))

@@ -30,6 +30,14 @@ class TestGridSpec:
         assert spec.node_count == 15
         assert spec.node((2, 4)) == (1.5, -1.0)
 
+    def test_node_zero_is_the_origin_as_given(self):
+        # -0.0 + h * 0 would be +0.0
+        spec = GridSpec((-0.0, 0.5), 0.25, (3, 4))
+        assert np.signbit(spec.axis_coords(0)[0]) and np.signbit(spec.meshes()[0][0, 3])
+        assert math.copysign(1.0, spec.node((0, 2))[0]) == -1.0
+        assert math.copysign(1.0, spec.shrunk((0, 1), (1, 1)).origin[0]) == -1.0
+        assert spec.shrunk((1, 1), (0, 0)).origin == (0.25, 0.75)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             GridSpec((), 1.0, ())
