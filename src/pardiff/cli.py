@@ -63,11 +63,17 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _emit_csv(header: str, rows: Iterable[Sequence], output: str | None) -> None:
-    """The header line then one line per row: text as is, numbers in ``.17g``."""
-    lines = [header]
+    """The header line then one line per row: text as is, numbers in ``.17g``.
+
+    All rows are formatted by one ``%`` over a template of ``%s`` and
+    ``%.17g`` fields, which gives the bytes of ``format(float(v), ".17g")``.
+    """
+    lines: list[str] = []
+    values: list = []
     for row in rows:
-        lines.append(",".join(v if isinstance(v, str) else format(float(v), ".17g") for v in row))
-    text = "\n".join(lines) + "\n"
+        lines.append(",".join(["%s" if isinstance(v, str) else "%.17g" for v in row]) + "\n")
+        values.extend(row)
+    text = header + "\n" + "".join(lines) % tuple(values)
     if output is None:
         sys.stdout.write(text)
     else:
@@ -86,7 +92,7 @@ def _cmd_classify(args) -> int:
         probe = GridSpec(tuple(args.probe_origin), args.probe_h, tuple(args.probe_extents))
     report = classify_region(s, probe, args.tol)
     axes = range(1, s.dim + 1)
-    rows = zip(report.points, report.eigenvalues, report.labels)
+    rows = zip(report.points.tolist(), report.eigenvalues.tolist(), report.labels)
     header = ",".join([f"x{k}" for k in axes] + [f"lambda{k}" for k in axes] + ["label"])
     _emit_csv(header, [[*point, *eig, label] for point, eig, label in rows], args.output)
     return 0

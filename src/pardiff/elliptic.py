@@ -121,7 +121,8 @@ def newtonian_potential(
     Targets on the source lattice (``grid._lattice_offset``) see a
     translation-invariant kernel, so the sum is a zero-padded discrete
     convolution evaluated by FFT (Hockney's free-space method).  Any other
-    targets take the direct pairwise sum.
+    targets take the direct sum over (target, source) pairs, with each pair's
+    squared distance built from per-axis distance tables.
     """
     n = fs.dim
     if source.spec.dim != n or targets.dim != n:
@@ -139,21 +140,25 @@ def newtonian_potential(
     if offset is not None:
         out = _hockney_potential(fs, source, targets.extents, offset, singular_subdivisions)
     else:
-        points = np.stack([m.reshape(-1) for m in targets.meshes()], axis=1)
-        out = _direct_potential(fs, source, points, singular_subdivisions)
+        out = _direct_potential(fs, source, targets, singular_subdivisions)
     return GridFunction(targets, out.reshape(targets.extents))
 
 
-def _kernel_of_squared_distance(fs: FundamentalSolution, d2: np.ndarray) -> np.ndarray:
-    """Kernel values from squared distances; entries with ``d2 == 0`` are not finite."""
+def _kernel_of_squared_distance(
+    fs: FundamentalSolution, d2: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Kernel values from squared distances; entries with ``d2 == 0`` are not finite.
+
+    The values go to ``out`` when given (``out=d2`` overwrites the distances).
+    """
     n = fs.dim
     with np.errstate(divide="ignore"):
         if n == 2:
             # log(r) = log(r^2) / 2, skipping the sqrt pass
-            vals = np.log(d2)
+            vals = np.log(d2, out=out)
             vals *= 1.0 / (4.0 * math.pi)
         else:
-            vals = d2 ** ((2.0 - n) / 2.0)
+            vals = np.power(d2, (2.0 - n) / 2.0, out=out)
             vals *= -1.0 / ((n - 2.0) * fs.unit_sphere_area)
     return vals
 
@@ -187,30 +192,68 @@ def _hockney_potential(
 def _direct_potential(
     fs: FundamentalSolution,
     source: GridFunction,
-    points: np.ndarray,
+    targets: GridSpec,
     singular_subdivisions: int,
 ) -> np.ndarray:
-    """The lattice sum at arbitrary target points, shape (m, n), pair by pair."""
+    """The lattice sum on the nodes of ``targets``, flattened in row-major order.
+
+    Both grids are tensor grids, so the squared distance from target node
+    ``(i_0, i_1, ...)`` to nonzero source node ``s`` is
+    ``T_0[i_0, s] + T_1[i_1, s] + ...`` with ``T_a = (target_a - source_a)^2``,
+    summed in axis order.  The targets go in blocks that are boxes: one index
+    on each axis before a split axis, a run of indices on it, and every index
+    on the axes after it.  A block's distances are one broadcast add into a
+    reused buffer, on which the kernel is then taken in place.  The near-pair
+    test runs only on blocks whose axis-0 terms hold a near entry, since no
+    sum of squares is below its axis-0 term.
+    """
     n = fs.dim
     h = source.spec.h
     keep = source.values != 0.0
-    src_points = np.stack([m[keep] for m in source.spec.meshes()], axis=1)
     weights = source.values[keep]
-    out = np.zeros(points.shape[0])
+    count = weights.size
+    src = [source.spec.axis_coords(a)[i] for a, i in enumerate(np.nonzero(keep))]
+    coords = [targets.axis_coords(a) for a in range(n)]
+
+    def table(axis: int, rows: slice) -> np.ndarray:
+        diff = coords[axis][rows, None] - src[axis]
+        diff *= diff
+        return diff
+
+    extents = targets.extents
     self_value = fs.cell_average(h, singular_subdivisions)
     near_sq = (1e-9 * h) ** 2
-    # About 2 MB per (block x sources) temporary, so each fits one core's L2 cache.
-    chunk = max(1, int(250_000 // max(1, src_points.shape[0])))
-    for start in range(0, points.shape[0], chunk):
-        block = points[start : start + chunk]
-        diff = block[:, 0, None] - src_points[None, :, 0]
-        d2 = diff * diff
-        for a in range(1, n):
-            diff = block[:, a, None] - src_points[None, :, a]
-            d2 += diff * diff
-        vals = _kernel_of_squared_distance(fs, d2)
-        vals[d2 <= near_sq] = self_value
-        out[start : start + chunk] = h**n * (vals @ weights)
+    # About 2 MB per (block x sources) temporary, so each fits one core's L2
+    # cache; the axis tables after the split axis are no larger than a block.
+    chunk = max(1, 250_000 // max(1, count))
+    split = next(a for a in range(n) if math.prod(extents[a + 1 :]) <= chunk)
+    tail = extents[split + 1 :]
+    step = min(extents[split], chunk // math.prod(tail))
+    trailing = [
+        table(a, slice(None)).reshape(extents[a], *(1,) * (n - 1 - a), count)
+        for a in range(split + 1, n)
+    ]
+    buf = np.empty(chunk * count)
+    out = np.empty(math.prod(extents))
+    start = 0
+    for prefix in np.ndindex(*extents[:split]):
+        leading = [table(a, slice(i, i + 1)) for a, i in enumerate(prefix)]
+        for lo in range(0, extents[split], step):
+            rows = table(split, slice(lo, lo + step))
+            block = (len(rows), *tail)
+            size = math.prod(block)
+            terms = [*leading, rows.reshape(len(rows), *(1,) * len(tail), count), *trailing]
+            head = terms[0]
+            for term in terms[1:-1]:
+                head = head + term
+            d2 = buf[: size * count].reshape(*block, count)
+            np.add(head, terms[-1], out=d2)
+            near = d2 <= near_sq if np.any(terms[0] <= near_sq) else None
+            vals = _kernel_of_squared_distance(fs, d2, out=d2)
+            if near is not None:
+                vals[near] = self_value
+            out[start : start + size] = h**n * (vals.reshape(size, count) @ weights)
+            start += size
     return out
 
 

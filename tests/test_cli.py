@@ -845,3 +845,52 @@ class TestDeterminism:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "classify" in capsys.readouterr().out
+
+
+def _per_value_csv(header, rows):
+    """The CSV text as written before the one-template emitter: one ``format`` per value."""
+    lines = [header]
+    for row in rows:
+        lines.append(",".join(v if isinstance(v, str) else format(float(v), ".17g") for v in row))
+    return "\n".join(lines) + "\n"
+
+
+class TestCsvEmitter:
+    TRICOMI = (
+        "dim 2\nh 0.02\nscale 0\n"
+        'term 0 2  "x2"\nterm 0 1  "-2*x2"\nterm 0 0  "x2 + 1"\n'
+        "term 2 0  1\nterm 1 0  -2\n"
+    )
+
+    def test_classify_probe_matches_per_value_format(self, tmp_path):
+        from pardiff.classify import classify_region
+        from pardiff.stencil import load_stencil
+
+        path = tmp_path / "tricomi.stn"
+        path.write_text(self.TRICOMI)
+        origin, h, extents = (-1.0, -1.0), 0.02, (41, 101)
+        out = tmp_path / "labels.csv"
+        probe = ["--probe-origin", "-1", "-1", "--probe-h", "0.02", "--probe-extents", "41", "101"]
+        assert main(["classify", "--stencil", str(path), *probe, "--output", str(out)]) == 0
+        report = classify_region(load_stencil(str(path)), GridSpec(origin, h, extents))
+        rows = [[*p, *e, label] for p, e, label in zip(report.points, report.eigenvalues, report.labels)]
+        expected = _per_value_csv("x1,x2,lambda1,lambda2,label", rows)
+        assert "elliptic" in expected and "hyperbolic" in expected
+        assert out.read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[-0.0, 1e-05, 1e300, "text"], [7, -3, 2**60, ""], [0.1, np.float64(-2.5e-310), True, "%s"]],
+            [["h", float("inf"), float("-inf"), float("nan")], [np.float32(0.1), np.int64(12), "a,b", 1.0]],
+            [[0.30000000000000004, -1e-300, 123456789012345678], []],
+            [],
+        ],
+        ids=["signed-zero-exponents-ints-strings", "non-finite-and-numpy-scalars", "ragged", "no-rows"],
+    )
+    def test_rows_match_per_value_format(self, rows, tmp_path):
+        from pardiff.cli import _emit_csv
+
+        out = tmp_path / "rows.csv"
+        _emit_csv("a,b,c,d", rows, str(out))
+        assert out.read_bytes() == _per_value_csv("a,b,c,d", rows).encode()

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from pardiff import elliptic
 from pardiff.elliptic import (
     FundamentalSolution,
-    _direct_potential,
+    _kernel_of_squared_distance,
     convergence_study,
     harnack_limit,
     harmonicity_residual,
@@ -152,6 +153,36 @@ def _forbidden(*args, **kwargs):
     raise AssertionError("the potential took the wrong path for these targets")
 
 
+def _pairwise_potential(
+    fs: FundamentalSolution,
+    source: GridFunction,
+    points: np.ndarray,
+    singular_subdivisions: int,
+) -> np.ndarray:
+    """The lattice sum at arbitrary target points, shape (m, n), pair by pair."""
+    n = fs.dim
+    h = source.spec.h
+    keep = source.values != 0.0
+    src_points = np.stack([m[keep] for m in source.spec.meshes()], axis=1)
+    weights = source.values[keep]
+    out = np.zeros(points.shape[0])
+    self_value = fs.cell_average(h, singular_subdivisions)
+    near_sq = (1e-9 * h) ** 2
+    # About 2 MB per (block x sources) temporary, so each fits one core's L2 cache.
+    chunk = max(1, int(250_000 // max(1, src_points.shape[0])))
+    for start in range(0, points.shape[0], chunk):
+        block = points[start : start + chunk]
+        diff = block[:, 0, None] - src_points[None, :, 0]
+        d2 = diff * diff
+        for a in range(1, n):
+            diff = block[:, a, None] - src_points[None, :, a]
+            d2 += diff * diff
+        vals = _kernel_of_squared_distance(fs, d2)
+        vals[d2 <= near_sq] = self_value
+        out[start : start + chunk] = h**n * (vals @ weights)
+    return out
+
+
 SOURCE_2D = GridSpec((-1.0, -0.75), 0.125, (17, 13))
 SOURCE_3D = GridSpec((-1.0, -1.0, -0.75), 0.25, (9, 9, 7))
 
@@ -176,7 +207,7 @@ class TestPotentialPaths:
         fs = FundamentalSolution(spec.dim)
         origin = tuple(o + k * spec.h for o, k in zip(spec.origin, cells))
         targets = GridSpec(origin, spec.h, extents)
-        reference = _direct_potential(fs, f, _target_points(targets), 8).reshape(extents)
+        reference = _pairwise_potential(fs, f, _target_points(targets), 8).reshape(extents)
         monkeypatch.setattr(elliptic, "_direct_potential", _forbidden)
         u = newtonian_potential(fs, f, targets).values
         assert np.abs(u).max() > 0.0
@@ -206,6 +237,70 @@ class TestPotentialPaths:
             kernel[~near] = fs.radial(r[~near])
             expected[index] = h * h * np.dot(kernel, weights)
         assert np.abs(u - expected).max() <= 1e-13 * max(1.0, np.abs(u).max())
+
+
+# source grid, single nonzero node (or None for the bump), target pitch,
+# target origin in source cells (None: a random fraction of a cell on each
+# axis, from the test's seed), target extents.  With the bump's 69 (2-D) or
+# 57 (3-D) nonzeros, the "split-axis" extents are too wide for one block to
+# hold whole rows, so blocks cover a run of the trailing axes.
+OFF_LATTICE = {
+    "2d-other-pitch": (SOURCE_2D, None, 0.1, None, (23, 19)),
+    "2d-half-pitch-coinciding": (SOURCE_2D, None, 0.0625, (2, 1), (31, 22)),
+    "2d-extent-1-leading": (SOURCE_2D, None, 0.1, None, (1, 40)),
+    "2d-extent-1-trailing": (SOURCE_2D, None, 0.0625, (4, 3), (40, 1)),
+    "2d-split-axis-1": (SOURCE_2D, None, 0.0005, None, (2, 4000)),
+    "2d-single-nonzero": (SOURCE_2D, (5, 4), 0.0625, (3, 2), (17, 13)),
+    "3d-other-pitch": (SOURCE_3D, None, 0.2, None, (11, 9, 8)),
+    "3d-half-pitch-coinciding": (SOURCE_3D, None, 0.125, (1, 2, 1), (12, 10, 9)),
+    "3d-extent-1-axes": (SOURCE_3D, None, 0.2, None, (5, 1, 7)),
+    "3d-extent-1-leading-axes": (SOURCE_3D, None, 0.125, (4, 4, 0), (1, 1, 12)),
+    "3d-split-axis-1": (SOURCE_3D, None, 0.03, None, (2, 70, 70)),
+    "3d-split-axis-2": (SOURCE_3D, None, 0.125, (4, 3, 0), (1, 2, 5000)),
+    "3d-single-nonzero": (SOURCE_3D, (4, 4, 3), 0.125, (3, 3, 2), (6, 7, 5)),
+}
+
+
+class TestDirectSumMatchesPairwise:
+    """The per-axis table sum against the pairwise reference it replaced."""
+
+    @pytest.mark.parametrize("case", list(OFF_LATTICE))
+    def test_table_sum_matches_pairwise_sum(self, case, monkeypatch):
+        spec, single, pitch, cells, extents = OFF_LATTICE[case]
+        if single is None:
+            f = compact_poly_bump(spec, 0.6)
+        else:
+            values = np.zeros(spec.extents)
+            values[single] = 2.5
+            f = GridFunction(spec, values)
+        if cells is None:
+            cells = np.random.default_rng(sum(map(ord, case))).uniform(0.0, 1.0, spec.dim)
+        origin = tuple(o + k * spec.h for o, k in zip(spec.origin, cells))
+        targets = GridSpec(origin, pitch, extents)
+        fs = FundamentalSolution(spec.dim)
+        reference = _pairwise_potential(fs, f, _target_points(targets), 8).reshape(extents)
+        monkeypatch.setattr(elliptic, "_hockney_potential", _forbidden)
+        u = newtonian_potential(fs, f, targets).values
+        assert np.abs(u).max() > 0.0
+        assert np.abs(u - reference).max() <= 1e-13 * max(1.0, np.abs(u).max())
+
+    def test_peak_memory_is_within_the_pairwise_peak(self, monkeypatch):
+        f = compact_poly_bump(SOURCE_3D, 0.6)
+        fs = FundamentalSolution(3)
+        targets = GridSpec((-1.3, -1.2, -1.1), 0.04, (64, 64, 64))
+        monkeypatch.setattr(elliptic, "_hockney_potential", _forbidden)
+
+        def peak(call):
+            tracemalloc.start()
+            try:
+                call()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        direct = peak(lambda: newtonian_potential(fs, f, targets))
+        pairwise = peak(lambda: _pairwise_potential(fs, f, _target_points(targets), 8))
+        assert direct <= 1.25 * pairwise
 
 
 class TestLaplaceSolver:

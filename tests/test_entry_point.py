@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pardiff.grid import GridFunction, GridSpec, sample, save_grid
@@ -93,3 +94,18 @@ def test_solve_laplace_writes_a_solution(workdir, expression, extents):
     result = run_cli(workdir, "solve", "laplace", "--grid", "ring.grd", "--output", "sol.grd")
     assert result.returncode == 0, result.stderr
     assert (workdir / "sol.grd").stat().st_size > 0
+
+
+def test_off_lattice_potential_is_byte_identical_across_runs(workdir):
+    spec = GridSpec((-1.0, -1.0), 0.125, (17, 17))
+    s = sum(m * m for m in spec.meshes()) / 0.5**2
+    save_grid(GridFunction(spec, np.where(s < 1, (1 - s) ** 4, 0.0)), str(workdir / "src.grd"))
+    targets = GridSpec((-0.6180339887, 0.3141592653), 0.0703125, (23, 19))
+    save_grid(GridFunction(targets, np.zeros(targets.extents)), str(workdir / "tgt.grd"))
+    outputs = []
+    for name in ("pot1.grd", "pot2.grd"):
+        result = run_cli(workdir, "potential", "--source", "src.grd", "--targets", "tgt.grd",
+                         "--output", name)
+        assert result.returncode == 0 and result.stderr == "", result.stderr
+        outputs.append((workdir / name).read_bytes())
+    assert outputs[0] == outputs[1] and len(outputs[0]) > 0
