@@ -18,7 +18,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .grid import GridSpec
+from .grid import GridSpec, _check_tolerance
 from .stencil import Stencil
 
 __all__ = [
@@ -121,8 +121,7 @@ def classify_at(s: Stencil, x: Sequence[float], tol: float = DEFAULT_TOL) -> str
 
 def classify_region(s: Stencil, probe: GridSpec, tol: float = DEFAULT_TOL) -> ClassificationReport:
     """Classify at every node of a probe grid (pointwise sampling)."""
-    if tol <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    _check_tolerance(tol)
     points = np.stack([m.reshape(-1) for m in probe.meshes()], axis=1)
     entries = _coefficient_stack(s, probe)
     eigenvalues = np.linalg.eigvalsh(entries)

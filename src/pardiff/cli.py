@@ -121,16 +121,18 @@ def _cmd_solve(args) -> int:
         raise _UsageError("solve laplace takes no right-hand side")
     if args.operator != "biharmonic" and args.lap_boundary:
         raise _UsageError("--lap-boundary applies only to solve biharmonic")
-    start = time.perf_counter()
     if args.operator == "laplace":
-        report = solve_laplace_dirichlet(g, args.tol, args.max_iter)
+        solve, inputs = solve_laplace_dirichlet, (g,)
     elif args.operator == "poisson":
-        report = solve_poisson_dirichlet(rhs_grid(), g, args.tol, args.max_iter)
+        solve, inputs = solve_poisson_dirichlet, (rhs_grid(), g)
     else:
         if not args.lap_boundary:
             raise _UsageError("solve biharmonic needs --lap-boundary")
         g_lap = sample(parse_expr(args.lap_boundary), spec)
-        report = solve_biharmonic(rhs_grid(), g, g_lap, args.tol, args.max_iter)
+        solve, inputs = solve_biharmonic, (rhs_grid(), g, g_lap)
+    # every input is built before the clock starts, so the line times the solve alone
+    start = time.perf_counter()
+    report = solve(*inputs, args.tol, args.max_iter)
     elapsed = time.perf_counter() - start
     print(f"solve {args.operator}: {elapsed:.3f}s wall time", file=sys.stderr)
     if not report.converged:

@@ -18,15 +18,15 @@ themselves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 import numpy as np
 
 from .expr import CoeffExpr, parse
 from .grid import (
-    MAX_NODES, GridFunction, GridSpec, Margins, _lattice_offset, _normalize_margins,
-    _valid_convolve, sample, shrink,
+    MAX_NODES, GridFunction, GridSpec, Margins, _check_tolerance, _lattice_offset,
+    _normalize_margins, _valid_convolve, sample, shrink,
 )
 from .stencil import laplace_stencil
 
@@ -66,11 +66,12 @@ class FundamentalSolution:
     """Free-space kernel whose Laplacian is the unit point source.
 
     Logarithmic in the plane, ``-|x|^(2-n) / ((n-2) s_n)`` for n >= 3 with
-    ``s_n`` the unit sphere area.
+    ``s_n`` the unit sphere area, which is derived from ``dim`` and cannot be
+    given.  Every value comes from :func:`_kernel_of_squared_distance`.
     """
 
     dim: int
-    unit_sphere_area: float = 0.0
+    unit_sphere_area: float = field(init=False)
 
     def __post_init__(self):
         if self.dim < 2:
@@ -79,9 +80,7 @@ class FundamentalSolution:
 
     def radial(self, r: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
         """Kernel value at distance ``r > 0`` from the source."""
-        if self.dim == 2:
-            return np.log(r) / (2.0 * math.pi)
-        return -(r ** (2.0 - self.dim)) / ((self.dim - 2.0) * self.unit_sphere_area)
+        return _kernel_of_squared_distance(self, np.square(r))
 
     def evaluate(self, x: Sequence[float]) -> float:
         point = tuple(float(v) for v in x)
@@ -89,12 +88,12 @@ class FundamentalSolution:
             raise ValueError(f"point must have dimension {self.dim}")
         # fsum is exactly rounded, so the value is invariant under coordinate
         # permutations and sign flips, not merely close.
-        r = math.sqrt(math.fsum(v * v for v in point))
-        if r == 0.0:
+        d2 = math.fsum(v * v for v in point)
+        if d2 == 0.0:
             raise ValueError(
                 "fundamental solution is singular at the origin; use cell_average"
             )
-        return float(self.radial(r))
+        return float(_kernel_of_squared_distance(self, d2))
 
     def cell_average(self, h: float, subdivisions: int = 8) -> float:
         """Average over the h-cell centered at the singularity, by midpoint subcells."""
@@ -102,21 +101,18 @@ class FundamentalSolution:
             raise ValueError("cell averaging needs at least 2 subdivisions per axis")
         offsets = -h / 2.0 + (np.arange(subdivisions) + 0.5) * (h / subdivisions)
         meshes = np.meshgrid(*([offsets] * self.dim), indexing="ij")
-        r = np.sqrt(sum(m * m for m in meshes))
-        return float(np.mean(self.radial(r)))
+        return float(np.mean(_kernel_of_squared_distance(self, sum(m * m for m in meshes))))
 
 
 def newtonian_potential(
-    fs: FundamentalSolution,
-    source: GridFunction,
-    targets: GridSpec,
-    singular_subdivisions: int = 8,
+    fs: FundamentalSolution, source: GridFunction, targets: GridSpec
 ) -> GridFunction:
     """Volume potential of a compactly supported source.
 
     ``u(x) = h^n * sum_y K(x - y) f(y)`` where the self cell (target on a
-    source node) contributes the cell average of the kernel instead of the
-    singular point value.  The source must vanish on its grid boundary layer.
+    source node) contributes ``fs.cell_average(h)``, the kernel's average
+    over that cell, instead of the singular point value.  The source must
+    vanish on its grid boundary layer; an all-zero source gives exact zeros.
 
     Targets on the source lattice (``grid._lattice_offset``) see a
     translation-invariant kernel, so the sum is a zero-padded discrete
@@ -134,13 +130,12 @@ def newtonian_potential(
             f"source is not compactly supported: nonzero boundary value at node "
             f"{tuple(int(i) for i in bad)}"
         )
-    if not np.any(source.values):
-        return GridFunction(targets, np.zeros(targets.extents))
+    self_value = fs.cell_average(source.spec.h)
     offset = _lattice_offset(source.spec, targets)
     if offset is not None:
-        out = _hockney_potential(fs, source, targets.extents, offset, singular_subdivisions)
+        out = _hockney_potential(fs, source, targets.extents, offset, self_value)
     else:
-        out = _direct_potential(fs, source, targets, singular_subdivisions)
+        out = _direct_potential(fs, source, targets, self_value)
     return GridFunction(targets, out.reshape(targets.extents))
 
 
@@ -168,7 +163,7 @@ def _hockney_potential(
     source: GridFunction,
     target_extents: Sequence[int],
     offset: Sequence[int],
-    singular_subdivisions: int,
+    self_value: float,
 ) -> np.ndarray:
     """The lattice sum for targets ``offset`` cells from the source origin, by FFT.
 
@@ -185,7 +180,7 @@ def _hockney_potential(
     table = _kernel_of_squared_distance(fs, sum(d * d for d in displacements))
     zero = tuple(s - 1 - o for o, s in zip(offset, src_extents))
     if all(0 <= z < length for z, length in zip(zero, table.shape)):
-        table[zero] = fs.cell_average(h, singular_subdivisions)
+        table[zero] = self_value
     return h**fs.dim * _valid_convolve(table, source.values)
 
 
@@ -193,7 +188,7 @@ def _direct_potential(
     fs: FundamentalSolution,
     source: GridFunction,
     targets: GridSpec,
-    singular_subdivisions: int,
+    self_value: float,
 ) -> np.ndarray:
     """The lattice sum on the nodes of ``targets``, flattened in row-major order.
 
@@ -221,7 +216,6 @@ def _direct_potential(
         return diff
 
     extents = targets.extents
-    self_value = fs.cell_average(h, singular_subdivisions)
     near_sq = (1e-9 * h) ** 2
     # About 2 MB per (block x sources) temporary, so each fits one core's L2
     # cache; the axis tables after the split axis are no larger than a block.
@@ -315,8 +309,7 @@ def _sor_dirichlet(
     n = spec.dim
     if any(e < 3 for e in extents):
         raise ValueError("solver needs at least 3 nodes per axis")
-    if tol <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    _check_tolerance(tol)
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     h = spec.h
@@ -644,8 +637,7 @@ def harnack_limit(
     spec = grids[0].spec
     if any(g.spec != spec for g in grids[1:]):
         raise ValueError("all grids must share one spec")
-    if tol <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    _check_tolerance(tol)
     pairs = _normalize_margins(compact_margin, spec.dim)
     window = tuple(slice(lo, e - hi) for (lo, hi), e in zip(pairs, spec.extents))
     for k in range(len(grids) - 1):

@@ -22,6 +22,7 @@ levels deep.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from functools import partial
@@ -55,6 +56,17 @@ FUNCTIONS = {
     "cos": (math.cos, np.cos),
     "sqrt": (math.sqrt, np.sqrt),
     "abs": (abs, np.abs),
+}
+
+# Each binary operator's scalar form, the name a non-finite scalar result is
+# reported under, and its array form.  Division by zero and a negative base
+# with a non-integer exponent are refused before the scalar form is called.
+OPERATORS = {
+    "+": (operator.add, "addition", np.add),
+    "-": (operator.sub, "subtraction", np.subtract),
+    "*": (operator.mul, "multiplication", np.multiply),
+    "/": (operator.truediv, "division", np.divide),
+    "^": (math.pow, "power", np.power),
 }
 
 
@@ -286,26 +298,19 @@ def _eval_scalar(e: CoeffExpr, point: tuple[float, ...]) -> float:
         return _check_finite(value, f"{e.func}(...)", point)
     left = _eval_scalar(e.left, point)
     right = _eval_scalar(e.right, point)
-    if e.op == "+":
-        return _check_finite(left + right, "addition", point)
-    if e.op == "-":
-        return _check_finite(left - right, "subtraction", point)
-    if e.op == "*":
-        return _check_finite(left * right, "multiplication", point)
-    if e.op == "/":
-        if right == 0.0:
-            raise ExprEvalError("division by zero", point)
-        return _check_finite(left / right, "division", point)
+    if e.op == "/" and right == 0.0:
+        raise ExprEvalError("division by zero", point)
     # '^' with real-only semantics: a negative base needs an integer exponent.
-    if left < 0.0 and right != math.floor(right):
+    if e.op == "^" and left < 0.0 and right != math.floor(right):
         raise ExprEvalError(
             f"negative base {left!r} with non-integer exponent {right!r}", point
         )
+    scalar, name, _ = OPERATORS[e.op]
     try:
-        value = math.pow(left, right)
+        value = scalar(left, right)
     except (ValueError, OverflowError) as exc:
-        raise ExprEvalError(f"{left!r}^{right!r} failed: {exc}", point) from None
-    return _check_finite(value, "power", point)
+        raise ExprEvalError(f"{left!r}{e.op}{right!r} failed: {exc}", point) from None
+    return _check_finite(value, name, point)
 
 
 def evaluate(e: CoeffExpr, point: Sequence[float]) -> float:
@@ -324,17 +329,7 @@ def _eval_array(e: CoeffExpr, coords: list[np.ndarray]):
         return -_eval_array(e.operand, coords)
     if isinstance(e, Call):
         return FUNCTIONS[e.func][1](_eval_array(e.arg, coords))
-    left = _eval_array(e.left, coords)
-    right = _eval_array(e.right, coords)
-    if e.op == "+":
-        return left + right
-    if e.op == "-":
-        return left - right
-    if e.op == "*":
-        return left * right
-    if e.op == "/":
-        return np.divide(left, right)
-    return np.power(left, right)
+    return OPERATORS[e.op][2](_eval_array(e.left, coords), _eval_array(e.right, coords))
 
 
 def evaluate_arrays(e: CoeffExpr, coords: Sequence[np.ndarray]) -> np.ndarray:

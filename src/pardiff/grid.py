@@ -101,22 +101,21 @@ class GridFunction:
     """Immutable real samples on a :class:`GridSpec`.
 
     ``values`` has shape ``spec.extents``; a flat row-major array of matching
-    length is also accepted.  All entries must be finite.
+    length is also accepted.  All entries must be finite.  The values are
+    always copied, so the grid owns them and later writes to the array passed
+    in do not reach it.
     """
 
     spec: GridSpec
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float)
-        if arr.shape != self.spec.extents:
-            if arr.size != self.spec.node_count:
-                raise ValueError(
-                    f"values have {arr.size} entries, grid has {self.spec.node_count} nodes"
-                )
-            arr = arr.reshape(self.spec.extents)
-        else:
-            arr = arr.copy()
+        arr = np.array(self.values, dtype=float, order="C")
+        if arr.size != self.spec.node_count:
+            raise ValueError(
+                f"values have {arr.size} entries, grid has {self.spec.node_count} nodes"
+            )
+        arr = arr.reshape(self.spec.extents)
         if not np.all(np.isfinite(arr)):
             bad = np.unravel_index(int(np.argmin(np.isfinite(arr))), arr.shape)
             raise ValueError(f"non-finite value at node {tuple(int(i) for i in bad)}")
@@ -181,13 +180,24 @@ def restrict(u: GridFunction, spec: GridSpec) -> GridFunction:
     return GridFunction(spec, u.values[window])
 
 
+def _check_tolerance(tol: float) -> None:
+    """Refuse a tolerance that is not a positive number; NaN is refused too."""
+    if not tol > 0.0:
+        raise ValueError(f"tolerance must be positive, got {tol}")
+
+
+def _same_pitch(a: float, b: float) -> bool:
+    """Whether two lattice spacings agree to 1e-12 relative."""
+    return math.isclose(a, b, rel_tol=1e-12)
+
+
 def _lattice_offset(source: GridSpec, target: GridSpec) -> tuple[int, ...] | None:
     """Whole-cell offset of the target origin from the source origin; None off the lattice.
 
-    On it, the spacings agree to 1e-12 relative and each offset lies within
-    1e-9 cells of a whole number.
+    On it, the spacings are the same pitch (:func:`_same_pitch`) and each
+    offset lies within 1e-9 cells of a whole number.
     """
-    if not math.isclose(target.h, source.h, rel_tol=1e-12):
+    if not _same_pitch(target.h, source.h):
         return None
     cells = [(t - s) / source.h for t, s in zip(target.origin, source.origin)]
     offset = tuple(round(c) for c in cells)

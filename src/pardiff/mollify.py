@@ -14,7 +14,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .grid import GridFunction, GridSpec, _valid_convolve, restrict
+from .grid import GridFunction, GridSpec, _same_pitch, _valid_convolve, restrict
 
 __all__ = [
     "MollifierKernel",
@@ -184,7 +184,7 @@ def convolve(f: GridFunction, kernel: MollifierKernel) -> GridFunction:
     spec = f.spec
     if spec.dim != kernel.dim:
         raise ValueError(f"kernel dimension {kernel.dim} does not match grid {spec.dim}")
-    if not math.isclose(spec.h, kernel.spacing, rel_tol=1e-12):
+    if not _same_pitch(spec.h, kernel.spacing):
         raise MollifierError(
             f"kernel pitch {kernel.spacing} does not match grid spacing {spec.h}"
         )

@@ -24,7 +24,7 @@ import numpy as np
 from . import expr as ex
 from .grid import (
     GridFileError, GridFunction, GridSpec, _atomic_write, _content_lines, _header_fields,
-    _read_text, norm, restrict,
+    _read_text, _same_pitch, norm, restrict,
 )
 
 __all__ = [
@@ -164,7 +164,7 @@ class Stencil:
         spec = u.spec
         if spec.dim != self.dim:
             raise ValueError(f"stencil dimension {self.dim} does not match grid {spec.dim}")
-        if not math.isclose(spec.h, self.h, rel_tol=1e-12):
+        if not _same_pitch(spec.h, self.h):
             raise ValueError(f"stencil spacing {self.h} does not match grid spacing {spec.h}")
         if not self.is_lattice:
             raise ValueError("stencil has non-integer shifts and cannot be applied to a grid")

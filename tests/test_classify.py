@@ -178,6 +178,15 @@ class TestClassifyAt:
         with pytest.raises(ValueError):
             classify_at(laplace_stencil(2, 1.0), (0.0, 0.0), tol=0.0)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan")])
+    def test_tolerance_that_is_not_positive_is_refused(self, tol):
+        s = laplace_stencil(2, 1.0)
+        message = f"^tolerance must be positive, got {tol}$"
+        with pytest.raises(ValueError, match=message):
+            classify_at(s, (0.0, 0.0), tol=tol)
+        with pytest.raises(ValueError, match=message):
+            classify_region(s, GridSpec((0.0, 0.0), 1.0, (3, 3)), tol=tol)
+
 
 class TestClassifyRegion:
     def test_constant_coefficients_share_one_label(self):

@@ -1,8 +1,12 @@
 import os
+import re
+import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from pardiff import cli, elliptic
 from pardiff.cli import main
 from pardiff.grid import GridFunction, GridSpec, load_grid, sample, save_grid
 from pardiff.stencil import laplace_stencil, save_stencil
@@ -76,6 +80,15 @@ class TestClassifyCommand:
 
     def test_wrong_point_dimension_exits_1(self, lap2):
         assert main(["classify", "--stencil", lap2, "--at", "0"]) == 1
+
+    def test_incomplete_probe_exits_1(self, lap2, capsys):
+        argv = ["classify", "--stencil", lap2, "--probe-origin", "0", "0", "--probe-h", "0.5"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: classify needs --at or all of --probe-origin/--probe-h/--probe-extents\n"
+        )
 
     def test_missing_file_exits_1(self, tmp_path):
         assert main(["classify", "--stencil", str(tmp_path / "nope.stn"), "--at", "0", "0"]) == 1
@@ -365,6 +378,99 @@ class TestSolveCommand:
             ]
         )
         assert code == 1
+
+
+def _no_sweep(*args, **kwargs):
+    raise AssertionError("an SOR sweep started")
+
+
+class TestNanTolerance:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "--stencil", "{lap2}", "--at", "0", "0"],
+            ["classify", "--stencil", "{lap2}", "--probe-origin", "0", "0", "--probe-h", "0.5",
+             "--probe-extents", "3", "3"],
+            ["solve", "laplace", "--grid", "{box}", "--boundary", "x1"],
+            ["solve", "poisson", "--grid", "{box}", "--rhs", "1"],
+            ["solve", "biharmonic", "--grid", "{box}", "--lap-boundary", "4"],
+            ["convergence", "--problem", "laplace", "--reference", "x1", "--h", "0.5", "0.25",
+             "--origin", "0", "0", "--length", "1"],
+            ["convergence", "--problem", "poisson", "--reference", "x1^2", "--rhs", "2",
+             "--h", "0.5", "0.25", "--origin", "0", "0", "--length", "1"],
+        ],
+        ids=["classify-at", "classify-probe", "laplace", "poisson", "biharmonic",
+             "convergence-laplace", "convergence-poisson"],
+    )
+    def test_one_error_line_no_output_no_sweep(
+        self, lap2, box_grid, tmp_path, capsys, monkeypatch, argv
+    ):
+        monkeypatch.setattr(elliptic, "_Color", _no_sweep)
+        out = tmp_path / "out"
+        argv = [a.format(lap2=lap2, box=box_grid) for a in argv]
+        assert main([*argv, "--tol", "nan", "--output", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: tolerance must be positive, got nan\n"
+        assert not out.exists()
+
+
+SOLVE_INPUTS = [
+    ("laplace", ["--boundary", "x1"]),
+    ("poisson", ["--boundary", "x1", "--rhs", "x2"]),
+    ("poisson", ["--rhs-grid", "{rhs}"]),
+    ("biharmonic", ["--boundary", "x1", "--rhs", "x2", "--lap-boundary", "0"]),
+    ("biharmonic", ["--rhs-grid", "{rhs}", "--lap-boundary", "0"]),
+]
+
+
+class TestSolveTiming:
+    """The wall-time line of ``solve`` times the solve and nothing else."""
+
+    @staticmethod
+    def record(monkeypatch, solver):
+        events = []
+
+        def recording(event, func):
+            def call(*args, **kwargs):
+                events.append(event)
+                return func(*args, **kwargs)
+
+            return call
+
+        clock = SimpleNamespace(perf_counter=recording("clock", time.perf_counter))
+        monkeypatch.setattr(cli, "time", clock)
+        for name in ("load_grid", "sample"):
+            monkeypatch.setattr(cli, name, recording("input", getattr(cli, name)))
+        monkeypatch.setattr(cli, solver, recording("solve", getattr(cli, solver)))
+        return events
+
+    @pytest.mark.parametrize("operator, extra", SOLVE_INPUTS)
+    def test_inputs_are_built_before_the_clock_starts(
+        self, box_grid, tmp_path, capsys, monkeypatch, operator, extra
+    ):
+        rhs = tmp_path / "f.grd"
+        save_grid(sample("x2", load_grid(box_grid).spec), str(rhs))
+        solver = {"laplace": "solve_laplace_dirichlet", "poisson": "solve_poisson_dirichlet",
+                  "biharmonic": "solve_biharmonic"}[operator]
+        events = self.record(monkeypatch, solver)
+        extra = [a.format(rhs=rhs) for a in extra]
+        argv = ["solve", operator, "--grid", box_grid, *extra, "--output", str(tmp_path / "u.grd")]
+        assert main(argv) == 0
+        options = ("--boundary", "--rhs", "--rhs-grid", "--lap-boundary")
+        builds = 1 + sum(a in options for a in extra)  # the domain grid, then one per option
+        assert events == ["input"] * builds + ["clock", "solve", "clock"]
+        err = capsys.readouterr().err
+        assert re.fullmatch(f"solve {operator}: \\d+\\.\\d{{3}}s wall time\n", err)
+
+    def test_missing_lap_boundary_is_refused_before_the_clock_starts(
+        self, box_grid, tmp_path, capsys, monkeypatch
+    ):
+        events = self.record(monkeypatch, "solve_biharmonic")
+        argv = ["solve", "biharmonic", "--grid", box_grid, "--rhs", "x2"]
+        assert main([*argv, "--output", str(tmp_path / "u.grd")]) == 1
+        assert "clock" not in events and "solve" not in events
+        assert capsys.readouterr().err == "error: solve biharmonic needs --lap-boundary\n"
 
 
 RHS = "sin(3*x1) * exp(-x2)"

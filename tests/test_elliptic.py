@@ -87,6 +87,36 @@ class TestFundamentalSolution:
         avg = fs.cell_average(1 / 32, 8)
         assert math.isfinite(avg) and avg < fs.evaluate((1 / 64, 0.0))
 
+    def test_sphere_area_is_derived_not_given(self):
+        with pytest.raises(TypeError):
+            FundamentalSolution(2, 5.0)
+        assert FundamentalSolution(3).unit_sphere_area == sphere_area(3)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_values_match_the_closed_forms(self, dim):
+        """radial, evaluate and cell_average against the kernel written out in r."""
+        fs = FundamentalSolution(dim)
+        area = 2.0 * math.pi ** (dim / 2.0) / math.gamma(dim / 2.0)
+
+        def closed(r):
+            if dim == 2:
+                return np.log(r) / (2.0 * math.pi)
+            return -(r ** (2.0 - dim)) / ((dim - 2.0) * area)
+
+        # distances near 1, where log r is near 0, would compare absolute roundoff
+        r = np.array([1e-3, 0.03, 0.25, 0.5, 2.0, 7.5, 40.0, 3e5])
+        assert np.allclose(fs.radial(r), closed(r), rtol=1e-15, atol=0.0)
+        for point in ((0.3, -0.7, 1.1, 0.05), (-2.0, 0.0, 0.5, 1.5), (0.01, 0.02, 0.0, 0.0)):
+            expected = closed(math.sqrt(math.fsum(v * v for v in point[:dim])))
+            assert fs.evaluate(point[:dim]) == pytest.approx(expected, rel=1e-15, abs=0.0)
+        for h in (1 / 64, 1 / 8, 0.5):
+            for subdivisions in (2, 8):
+                offsets = -h / 2.0 + (np.arange(subdivisions) + 0.5) * (h / subdivisions)
+                meshes = np.meshgrid(*([offsets] * dim), indexing="ij")
+                expected = float(np.mean(closed(np.sqrt(sum(m * m for m in meshes)))))
+                average = fs.cell_average(h, subdivisions)
+                assert average == pytest.approx(expected, rel=1e-15, abs=0.0)
+
 
 class TestNewtonianPotential:
     def test_zero_source(self):
@@ -94,6 +124,24 @@ class TestNewtonianPotential:
         zero = GridFunction(spec, np.zeros((9, 9)))
         u = newtonian_potential(FundamentalSolution(2), zero, spec)
         assert np.abs(u.values).max() == 0.0
+
+    @pytest.mark.parametrize(
+        "targets, other",
+        [
+            (GridSpec((-1.0, -1.0), 0.25, (9, 9)), "_direct_potential"),
+            (GridSpec((1.5, -3.0), 0.25, (4, 3)), "_direct_potential"),
+            (GridSpec((-0.4, -0.3), 0.1, (7, 6)), "_hockney_potential"),
+        ],
+        ids=["on-lattice", "on-lattice-outside", "off-lattice"],
+    )
+    def test_zero_source_gives_exact_zeros_on_each_path(self, targets, other, monkeypatch):
+        spec = GridSpec((-1.0, -1.0), 0.25, (9, 9))
+        monkeypatch.setattr(elliptic, other, _forbidden)
+        zero = GridFunction(spec, np.zeros((9, 9)))
+        with np.errstate(all="raise"):
+            u = newtonian_potential(FundamentalSolution(2), zero, targets)
+        assert u.spec == targets
+        assert (u.values == 0.0).all() and not np.signbit(u.values).any()
 
     def test_noncompact_source_rejected(self):
         spec = GridSpec((-1.0, -1.0), 0.25, (9, 9))
@@ -678,6 +726,29 @@ class TestMeanValue:
         assert excess == pytest.approx(r * r, rel=0.05)
         assert excess > 10.0 * mean_value_check(harmonic, (0.0, 0.0), r)
 
+    @pytest.mark.parametrize(
+        "expression, extents, center, bound",
+        [
+            # two directions; linear data is interpolated exactly
+            ("x1", (17,), (0.1,), 1e-15),
+            # Fibonacci lattice; multilinear data is interpolated exactly, so
+            # the deviation is the lattice's quadrature error
+            ("x1*x2 + x3", (17, 17, 17), (0.1, -0.2, 0.15), 1e-4),
+            # seeded random directions, whose sample mean is not centered
+            ("x1*x2 - x3*x4", (9, 9, 9, 9), (0.1, -0.2, 0.15, 0.05), 0.1 * 0.25**2),
+        ],
+        ids=["1d", "3d", "4d"],
+    )
+    def test_harmonic_data_in_other_dimensions(self, expression, extents, center, bound):
+        dim = len(extents)
+        spec = GridSpec((-1.0,) * dim, 2.0 / (extents[0] - 1), extents)
+        u = sample(expression, spec)
+        control = sample(" + ".join(f"x{k}^2" for k in range(1, dim + 1)), spec)
+        r = 0.25
+        assert mean_value_check(u, center, r) <= bound
+        # the sum of squares has Laplacian 2n: its sphere mean exceeds the centre by r^2
+        assert mean_value_check(control, center, r) == pytest.approx(r * r, rel=0.05)
+
     def test_sphere_must_stay_inside(self):
         spec = GridSpec((0.0, 0.0), 0.125, (9, 9))
         u = sample("x1", spec)
@@ -732,6 +803,13 @@ class TestHarnack:
         verdict = harnack_limit(seq, 1, 0.1)
         assert verdict.outcome == "divergent"
 
+    def test_bounded_sequence_still_moving_is_divergent(self):
+        spec = GridSpec((0.0, 0.0), 0.25, (9, 9))
+        seq = [GridFunction(spec, float(k) * np.ones((9, 9))) for k in range(1, 4)]
+        verdict = harnack_limit(seq, 1, 0.1)  # minimum 3 is below 1/tol = 10
+        assert verdict.outcome == "divergent"
+        assert verdict.deviations == (1.0, 1.0) and verdict.limit is None
+
     def test_non_monotone_input_is_a_violation_with_witness(self):
         spec = GridSpec((0.0, 0.0), 0.125, (9, 9))
         base = sample("x1*x2", spec)
@@ -754,6 +832,30 @@ class TestHarnack:
         a = GridFunction(GridSpec((0.0,), 0.5, (5,)), np.zeros(5))
         with pytest.raises(ValueError, match="3 grids"):
             harnack_limit([a, a], 0, 1e-3)
+
+
+def _no_sweep(*args, **kwargs):
+    raise AssertionError("an SOR sweep started")
+
+
+NOT_POSITIVE_TOLERANCE_CALLS = {
+    "laplace": lambda g, tol: solve_laplace_dirichlet(g, tol),
+    "poisson": lambda g, tol: solve_poisson_dirichlet(g, g, tol),
+    "biharmonic": lambda g, tol: solve_biharmonic(g, g, g, tol),
+    "convergence": lambda g, tol: convergence_study(
+        "laplace", "x1", None, (0.0, 0.0), 1.0, [0.5, 0.25], tol
+    ),
+    "harnack": lambda g, tol: harnack_limit([g, g, g], 1, tol),
+}
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("call", list(NOT_POSITIVE_TOLERANCE_CALLS))
+def test_tolerance_that_is_not_positive_is_refused_before_any_sweep(call, tol, monkeypatch):
+    monkeypatch.setattr(elliptic, "_Color", _no_sweep)
+    g = GridFunction(GridSpec((0.0, 0.0), 0.125, (9, 9)), np.zeros((9, 9)))
+    with pytest.raises(ValueError, match=f"^tolerance must be positive, got {tol}$"):
+        NOT_POSITIVE_TOLERANCE_CALLS[call](g, tol)
 
 
 class TestHarmonicityResidual:

@@ -109,3 +109,14 @@ def test_off_lattice_potential_is_byte_identical_across_runs(workdir):
         assert result.returncode == 0 and result.stderr == "", result.stderr
         outputs.append((workdir / name).read_bytes())
     assert outputs[0] == outputs[1] and len(outputs[0]) > 0
+
+
+def test_nan_tolerance_is_one_error_line_and_no_output(workdir):
+    g = sample("x1*x2", GridSpec((0, 0), 0.25, (5, 5)))
+    values = g.values.copy()
+    values[1:-1, 1:-1] = 0
+    save_grid(GridFunction(g.spec, values), str(workdir / "box.grd"))
+    result = run_cli(workdir, "solve", "laplace", "--grid", "box.grd", "--output", "nan.grd",
+                     "--tol", "nan")
+    assert_one_error(result, 1)
+    assert not (workdir / "nan.grd").exists()

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from pardiff.expr import (
     _NUMBER_RE,
     FUNCTIONS,
+    OPERATORS,
     BinOp,
     Call,
     ExprEvalError,
@@ -362,3 +363,30 @@ def test_scalar_and_array_forms_agree(name):
             assert math.isclose(evaluate(tree, (x,)), y, rel_tol=1e-12)
         except ExprEvalError:
             assert not np.isfinite(y)
+
+
+@pytest.mark.parametrize("op", sorted(OPERATORS))
+def test_scalar_and_array_operator_forms_agree(op):
+    values = [-2.5, -1.0, 0.0, 0.5, 1.0, 3.0, 700.0, 1e300]
+    xs, ys = (np.array(v) for v in zip(*((x, y) for x in values for y in values)))
+    tree = BinOp(op, Var(1), Var(2))
+    arrays = evaluate_arrays(tree, [xs, ys])
+    for x, y, z in zip(xs, ys, arrays):
+        try:
+            assert math.isclose(evaluate(tree, (x, y)), z, rel_tol=1e-12)
+        except ExprEvalError:
+            assert not np.isfinite(z)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("0^-1", "0.0^-1.0 failed: math domain error"),
+        ("10^400", "10.0^400.0 failed: math range error"),
+    ],
+)
+def test_scalar_power_failure_names_its_operands(text, message):
+    with pytest.raises(ExprEvalError) as err:
+        evaluate(parse(text), ())
+    assert err.value.reason == message
+    assert str(err.value) == f"{message} at point ()"

@@ -102,6 +102,13 @@ class TestGridFunction:
         with pytest.raises(ValueError):
             u.values[0] = 9.0
 
+    @pytest.mark.parametrize("shape", [(4,), (1, 4), (2, 2)], ids=["flat", "other", "grid"])
+    def test_values_are_copied(self, shape):
+        given = np.array([1.0, 2.0, 3.0, 4.0]).reshape(shape)
+        u = GridFunction(GridSpec((0.0, 0.0), 1.0, (2, 2)), given)
+        given.reshape(-1)[1] = np.inf
+        assert u.values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
 
 class TestSample:
     def test_constant(self):
