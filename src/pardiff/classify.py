@@ -79,11 +79,15 @@ def _coefficient_stack(s: Stencil, probe: GridSpec) -> np.ndarray:
     return entries
 
 
+def _point_probe(x: Sequence[float]) -> GridSpec:
+    """The one-node probe grid at the point ``x``."""
+    return GridSpec(tuple(x), 1.0, (1,) * len(x))
+
+
 def coefficient_matrix(s: Stencil, x: Sequence[float]) -> CoefficientMatrix:
     """The symmetric coefficient matrix of ``s`` at ``x``: a one-node probe at ``x``."""
-    point = tuple(float(v) for v in x)
-    probe = GridSpec(point, 1.0, (1,) * len(point))
-    return CoefficientMatrix(s.dim, _coefficient_stack(s, probe)[0], point)
+    probe = _point_probe(x)
+    return CoefficientMatrix(s.dim, _coefficient_stack(s, probe)[0], probe.origin)
 
 
 def eigen_symmetric(matrix: Union[CoefficientMatrix, np.ndarray]) -> np.ndarray:
@@ -116,7 +120,7 @@ def _labels(eigenvalues: np.ndarray, tol: float) -> tuple[str, ...]:
 
 def classify_at(s: Stencil, x: Sequence[float], tol: float = DEFAULT_TOL) -> str:
     """Label the operator at one point: elliptic, hyperbolic, or parabolic."""
-    return classify_region(s, GridSpec(x, 1.0, (1,) * len(x)), tol).labels[0]
+    return classify_region(s, _point_probe(x), tol).labels[0]
 
 
 def classify_region(s: Stencil, probe: GridSpec, tol: float = DEFAULT_TOL) -> ClassificationReport:

@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import __version__
-from .classify import DEFAULT_TOL, classify_region
+from .classify import DEFAULT_TOL, _point_probe, classify_region
 from .elliptic import (
     SOLVE_MAX_ITER,
     SOLVE_TOL,
@@ -85,7 +85,7 @@ def _cmd_classify(args) -> int:
     if args.at is not None:
         if len(args.at) != s.dim:
             raise _UsageError(f"--at needs {s.dim} coordinates")
-        probe = GridSpec(tuple(args.at), 1.0, (1,) * s.dim)
+        probe = _point_probe(args.at)
     else:
         if args.probe_origin is None or args.probe_h is None or args.probe_extents is None:
             raise _UsageError("classify needs --at or all of --probe-origin/--probe-h/--probe-extents")

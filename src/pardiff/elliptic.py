@@ -23,10 +23,10 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .expr import CoeffExpr, parse
+from .expr import CoeffExpr, _first_failing, parse
 from .grid import (
-    MAX_NODES, GridFunction, GridSpec, Margins, _check_tolerance, _lattice_offset,
-    _normalize_margins, _valid_convolve, sample, shrink,
+    MAX_NODES, GridFunction, GridSpec, Margins, _check_length, _check_tolerance,
+    _lattice_offset, _normalize_margins, _valid_convolve, sample, shrink,
 )
 from .stencil import laplace_stencil
 
@@ -84,8 +84,8 @@ class FundamentalSolution:
 
     def evaluate(self, x: Sequence[float]) -> float:
         point = tuple(float(v) for v in x)
-        if len(point) != self.dim:
-            raise ValueError(f"point must have dimension {self.dim}")
+        if len(point) != self.dim or not all(map(math.isfinite, point)):
+            raise ValueError(f"point must have {self.dim} finite coordinates, got {point}")
         # fsum is exactly rounded, so the value is invariant under coordinate
         # permutations and sign flips, not merely close.
         d2 = math.fsum(v * v for v in point)
@@ -97,6 +97,7 @@ class FundamentalSolution:
 
     def cell_average(self, h: float, subdivisions: int = 8) -> float:
         """Average over the h-cell centered at the singularity, by midpoint subcells."""
+        _check_length(h, "cell size")
         if subdivisions < 2:
             raise ValueError("cell averaging needs at least 2 subdivisions per axis")
         offsets = -h / 2.0 + (np.arange(subdivisions) + 0.5) * (h / subdivisions)
@@ -123,12 +124,11 @@ def newtonian_potential(
     n = fs.dim
     if source.spec.dim != n or targets.dim != n:
         raise ValueError("source and target dimensions must match the kernel dimension")
-    boundary = _boundary_mask(source.spec.extents)
-    if np.any(source.values[boundary] != 0.0):
-        bad = np.argwhere(boundary & (source.values != 0.0))[0]
+    supported = ~_boundary_mask(source.spec.extents) | (source.values == 0.0)
+    if not supported.all():
         raise ValueError(
             f"source is not compactly supported: nonzero boundary value at node "
-            f"{tuple(int(i) for i in bad)}"
+            f"{_first_failing(supported)}"
         )
     self_value = fs.cell_average(source.spec.h)
     offset = _lattice_offset(source.spec, targets)
@@ -516,11 +516,13 @@ def _interpolate(u: GridFunction, points: np.ndarray) -> np.ndarray:
     n = spec.dim
     if any(e < 2 for e in spec.extents):
         raise ValueError("interpolation needs at least 2 nodes per axis")
-    t = (points - np.asarray(spec.origin)) / spec.h
+    with np.errstate(over="ignore"):  # a t beyond the float range is outside the grid
+        t = (points - np.asarray(spec.origin)) / spec.h
     upper = np.asarray(spec.extents) - 1
-    if np.any(t < -1e-9) or np.any(t > upper + 1e-9):
-        bad = points[np.argmax(np.any((t < -1e-9) | (t > upper + 1e-9), axis=1))]
-        raise ValueError(f"point {tuple(bad)} is outside the grid")
+    inside = ((t >= -1e-9) & (t <= upper + 1e-9)).all(axis=1)
+    if not inside.all():
+        (row,) = _first_failing(inside)
+        raise ValueError(f"point {tuple(points[row].tolist())} is outside the grid")
     base = np.clip(np.floor(t).astype(int), 0, upper - 1)
     frac = t - base
     out = np.zeros(points.shape[0])
@@ -560,15 +562,15 @@ def mean_value_check(
     Sphere samples are interpolated multilinearly; for discretely harmonic
     data the deviation is bounded by the interpolation error.
     """
-    if radius <= 0.0:
-        raise ValueError(f"radius must be positive, got {radius}")
+    _check_length(radius, "radius")
     if num_points < 1:
         raise ValueError("need at least one sphere point")
     center_arr = np.asarray(center, dtype=float).reshape(1, -1)
     if center_arr.shape[1] != u.spec.dim:
         raise ValueError("center dimension does not match the grid")
     directions = _sphere_directions(u.spec.dim, num_points)
-    points = center_arr + radius * directions
+    with np.errstate(over="ignore"):  # a point beyond the float range is outside the grid
+        points = center_arr + radius * directions
     try:
         sphere_vals = _interpolate(u, points)
         center_val = _interpolate(u, center_arr)[0]
@@ -588,6 +590,8 @@ def max_principle_check(
     extents = u.spec.extents
     if any(e < 3 for e in extents):
         raise ValueError("max principle check needs a nonempty interior")
+    if not tol >= 0.0:
+        raise ValueError(f"tolerance must be nonnegative, got {tol}")
     boundary = _boundary_mask(extents)
     bvals = u.values[boundary]
     bmax = float(bvals.max())
@@ -640,35 +644,21 @@ def harnack_limit(
     _check_tolerance(tol)
     pairs = _normalize_margins(compact_margin, spec.dim)
     window = tuple(slice(lo, e - hi) for (lo, hi), e in zip(pairs, spec.extents))
+    steps = []
     for k in range(len(grids) - 1):
         diff = grids[k + 1].values - grids[k].values
         if np.any(diff < 0.0):
             witness = np.unravel_index(int(np.argmin(diff)), diff.shape)
-            return HarnackVerdict(
-                outcome="violation",
-                deviations=(),
-                witness=(k, tuple(int(i) for i in witness)),
-            )
-    deviations = tuple(
-        float(np.abs(grids[k + 1].values[window] - grids[k].values[window]).max())
-        for k in range(len(grids) - 1)
-    )
-    last = grids[-1].values[window]
-    if float(last.min()) > 1.0 / tol:
-        return HarnackVerdict(outcome="divergent", deviations=deviations)
-    if deviations[-1] <= tol:
-        limit = shrink(grids[-1], compact_margin)
-        residual = None
-        if all(e >= 3 for e in limit.spec.extents):
-            applied = laplace_stencil(spec.dim, spec.h).apply(limit)
-            residual = float(np.abs(applied.values).max())
-        return HarnackVerdict(
-            outcome="finite_limit",
-            deviations=deviations,
-            limit=limit,
-            limit_residual=residual,
-        )
-    return HarnackVerdict(outcome="divergent", deviations=deviations)
+            return HarnackVerdict("violation", (), witness=(k, tuple(int(i) for i in witness)))
+        steps.append(float(np.abs(diff[window]).max()))
+    deviations = tuple(steps)
+    if float(grids[-1].values[window].min()) > 1.0 / tol or deviations[-1] > tol:
+        return HarnackVerdict("divergent", deviations)
+    limit = shrink(grids[-1], compact_margin)
+    residual = None
+    if all(e >= 3 for e in limit.spec.extents):
+        residual = float(np.abs(laplace_stencil(spec.dim, spec.h).apply(limit).values).max())
+    return HarnackVerdict("finite_limit", deviations, limit=limit, limit_residual=residual)
 
 
 def _box_specs(
@@ -679,10 +669,10 @@ def _box_specs(
     Lengths and spacings must be positive and finite, and no side may hold
     ``MAX_NODES`` nodes or more.
     """
-    if not all(v > 0.0 and math.isfinite(v) for v in (*lengths, *h_list)):
-        raise ValueError(
-            f"lengths {list(lengths)} and spacings {list(h_list)} must be positive and finite"
-        )
+    for length in lengths:
+        _check_length(length, "box length")
+    for h in h_list:
+        _check_length(h, "spacing")
     specs = []
     for h in h_list:
         for length in lengths:

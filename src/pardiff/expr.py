@@ -348,6 +348,11 @@ def evaluate_arrays(e: CoeffExpr, coords: Sequence[np.ndarray]) -> np.ndarray:
     return np.broadcast_to(np.asarray(out, dtype=float), shape).copy()
 
 
+def _first_failing(ok: np.ndarray) -> tuple[int, ...]:
+    """Index of the first False entry of ``ok`` in row-major order, as a tuple of ints."""
+    return tuple(int(i) for i in np.unravel_index(int(np.argmin(ok)), ok.shape))
+
+
 def evaluate_nodes(e: CoeffExpr, meshes: Sequence[np.ndarray], what: str) -> np.ndarray:
     """Evaluate over grid meshes and require every entry to be finite.
 
@@ -360,14 +365,14 @@ def evaluate_nodes(e: CoeffExpr, meshes: Sequence[np.ndarray], what: str) -> np.
     finite = np.isfinite(values)
     if finite.all():
         return values
-    index = np.unravel_index(int(np.argmin(finite)), values.shape)
+    index = _first_failing(finite)
     point = tuple(float(m[index]) for m in meshes)
     try:
         evaluate(e, point)
         cause = "non-finite result"
     except ExprEvalError as exc:
         cause = exc.reason
-    raise ExprEvalError(f"{what} failed at node {tuple(int(i) for i in index)}: {cause}", point)
+    raise ExprEvalError(f"{what} failed at node {index}: {cause}", point)
 
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}

@@ -15,7 +15,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .expr import CoeffExpr, evaluate_nodes, parse
+from .expr import CoeffExpr, _first_failing, evaluate_nodes, parse
 
 __all__ = [
     "GridSpec",
@@ -57,8 +57,7 @@ class GridSpec:
             raise ValueError(
                 f"origin has {len(self.origin)} coordinates but extents has {len(self.extents)}"
             )
-        if not (self.h > 0.0 and math.isfinite(self.h)):
-            raise ValueError(f"grid spacing must be positive and finite, got {self.h}")
+        _check_length(self.h, "grid spacing")
         if any(e < 1 for e in self.extents):
             raise ValueError(f"every extent must be at least 1, got {self.extents}")
         if self.node_count > MAX_NODES:
@@ -116,9 +115,9 @@ class GridFunction:
                 f"values have {arr.size} entries, grid has {self.spec.node_count} nodes"
             )
         arr = arr.reshape(self.spec.extents)
-        if not np.all(np.isfinite(arr)):
-            bad = np.unravel_index(int(np.argmin(np.isfinite(arr))), arr.shape)
-            raise ValueError(f"non-finite value at node {tuple(int(i) for i in bad)}")
+        finite = np.isfinite(arr)
+        if not finite.all():
+            raise ValueError(f"non-finite value at node {_first_failing(finite)}")
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 
@@ -178,6 +177,12 @@ def restrict(u: GridFunction, spec: GridSpec) -> GridFunction:
             raise ValueError(f"incompatible specs: axis {a} window exits the grid")
     window = tuple(slice(k, k + e) for k, e in zip(offsets, spec.extents))
     return GridFunction(spec, u.values[window])
+
+
+def _check_length(value: float, what: str) -> None:
+    """Refuse a length, spacing or radius that is not positive and finite; NaN is refused too."""
+    if not (value > 0.0 and math.isfinite(value)):
+        raise ValueError(f"{what} must be positive and finite, got {value}")
 
 
 def _check_tolerance(tol: float) -> None:

@@ -14,7 +14,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .grid import GridFunction, GridSpec, _same_pitch, _valid_convolve, restrict
+from .grid import GridFunction, GridSpec, _check_length, _same_pitch, _valid_convolve, restrict
 
 __all__ = [
     "MollifierKernel",
@@ -118,10 +118,8 @@ def make_mollifier(dim: int, eps: float, spacing: float, refine: int = 8) -> Mol
     """
     if dim < 1:
         raise ValueError(f"dimension must be at least 1, got {dim}")
-    if not (eps > 0.0 and math.isfinite(eps)):
-        raise ValueError(f"support radius must be positive, got {eps}")
-    if not (spacing > 0.0 and math.isfinite(spacing)):
-        raise ValueError(f"spacing must be positive, got {spacing}")
+    _check_length(eps, "support radius")
+    _check_length(spacing, "spacing")
     if refine < 1:
         raise ValueError(f"refine must be at least 1, got {refine}")
     if eps < spacing:
@@ -169,8 +167,8 @@ def mollifier_for(spec: GridSpec, eps: float, refine: int = 8) -> MollifierKerne
     A kernel whose ``2 r + 1`` nodes per axis do not fit inside the grid is
     refused before anything is built.
     """
-    # a non-finite eps is left to make_mollifier's own argument checks
-    if math.isfinite(eps) and 2.0 * _radius_cells(eps, spec.h) + 1.0 > min(spec.extents):
+    _check_length(eps, "support radius")
+    if 2.0 * _radius_cells(eps, spec.h) + 1.0 > min(spec.extents):
         raise MollifierError(_EMPTY_REGION)
     return make_mollifier(spec.dim, eps, spec.h, refine)
 
@@ -201,15 +199,15 @@ def l1_convergence(
 ) -> tuple[list[float], bool]:
     """Discrete L1 distances between ``f`` and its smoothings, per support radius.
 
-    ``eps_list`` must be descending and positive.  Errors are measured on the
-    common interior (that of the widest kernel).  Returns the error sequence
-    and whether it is non-increasing within 5% slack.
+    ``eps_list`` must be strictly descending with positive, finite radii.
+    Errors are measured on the common interior (that of the widest kernel).
+    Returns the error sequence and whether it is non-increasing within 5% slack.
     """
     radii = [float(e) for e in eps_list]
     if not radii:
         raise ValueError("eps_list must not be empty")
-    if any(e <= 0.0 for e in radii):
-        raise ValueError(f"support radii must be positive, got {radii}")
+    for e in radii:
+        _check_length(e, "support radius")
     if any(a <= b for a, b in zip(radii, radii[1:])):
         raise ValueError(f"eps_list must be strictly descending, got {radii}")
     kernels = [mollifier_for(f.spec, e, refine) for e in radii]

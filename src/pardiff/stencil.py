@@ -23,8 +23,8 @@ import numpy as np
 
 from . import expr as ex
 from .grid import (
-    GridFileError, GridFunction, GridSpec, _atomic_write, _content_lines, _header_fields,
-    _read_text, _same_pitch, norm, restrict,
+    GridFileError, GridFunction, GridSpec, _atomic_write, _check_length, _content_lines,
+    _header_fields, _read_text, _same_pitch, norm, restrict,
 )
 
 __all__ = [
@@ -126,8 +126,7 @@ class Stencil:
         object.__setattr__(self, "scale_exp", int(self.scale_exp))
         if self.dim < 1:
             raise ValueError("stencil dimension must be at least 1")
-        if not (self.h > 0.0 and math.isfinite(self.h)):
-            raise ValueError(f"stencil spacing must be positive, got {self.h}")
+        _check_length(self.h, "stencil spacing")
         if self.scale_exp < 0:
             raise ValueError(f"scale exponent must be nonnegative, got {self.scale_exp}")
         terms = tuple(t if isinstance(t, StencilTerm) else StencilTerm(*t) for t in self.terms)
@@ -195,8 +194,7 @@ class Stencil:
                 ) from None
         finite = np.isfinite(out)
         if not finite.all():
-            bad = np.unravel_index(int(np.argmin(finite)), out.shape)
-            raise OverflowError(f"stencil result overflows at node {tuple(int(i) for i in bad)}")
+            raise OverflowError(f"stencil result overflows at node {ex._first_failing(finite)}")
         return GridFunction(out_spec, out)
 
 

@@ -755,6 +755,23 @@ class TestMeanValue:
         with pytest.raises(ValueError, match="exits the grid"):
             mean_value_check(u, (0.5, 0.5), 2.0)
 
+    @pytest.mark.parametrize("origin", [1e-9, -1e-9], ids=["below", "above"])
+    def test_point_1e9_cells_outside_is_accepted(self, origin):
+        # h = 1 and radius 2 from the centre 2: the sphere points 0 and 4 lie
+        # exactly 1e-9 cells below the first node or above the last one
+        u = GridFunction(GridSpec((origin,), 1.0, (5,)), np.zeros(5))
+        assert mean_value_check(u, (2.0,), 2.0) == 0.0
+        with pytest.raises(ValueError, match="exits the grid"):
+            mean_value_check(u, (2.0,), 2.0 + 1e-6)
+
+    def test_point_that_overflows_to_inf_is_outside(self):
+        # centre - radius is a node; centre + radius overflows to inf
+        u = GridFunction(GridSpec((0.0,), 1e307, (18,)), np.zeros(18))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"point \(inf,\) is outside the grid$"):
+                mean_value_check(u, (1.7e308,), 1e308)
+
 
 class TestMaxPrinciple:
     def test_interior_spike_fails_with_witness(self):
@@ -821,6 +838,25 @@ class TestHarnack:
         verdict = harnack_limit(seq, 1, 1e-3)
         assert verdict.outcome == "violation"
         assert verdict.witness is not None and verdict.witness[0] == 0
+
+    @pytest.mark.parametrize(
+        "margin, window",
+        [(0, (slice(0, 9),) * 2), (1, (slice(1, 8),) * 2),
+         (((2, 1), (0, 3)), (slice(2, 8), slice(0, 6)))],
+    )
+    def test_deviations_and_witness_are_the_windowed_differences(self, margin, window):
+        spec = GridSpec((0.0, 0.0), 0.125, (9, 9))
+        rng = np.random.default_rng(5)
+        steps = rng.random((6, 9, 9)) * np.logspace(0, -5, 6)[:, None, None]
+        seq = [GridFunction(spec, v) for v in np.cumsum(steps, axis=0)]
+        verdict = harnack_limit(seq, margin, 1e-3)
+        assert verdict.deviations == tuple(
+            float(np.abs(b.values[window] - a.values[window]).max()) for a, b in zip(seq, seq[1:])
+        )
+        dipped = seq[:3] + [GridFunction(spec, seq[3].values - 2.0 * steps[3])] + seq[4:]
+        diff = dipped[3].values - dipped[2].values
+        witness = tuple(int(i) for i in np.unravel_index(int(np.argmin(diff)), diff.shape))
+        assert harnack_limit(dipped, margin, 1e-3).witness == (2, witness)
 
     def test_requires_shared_spec(self):
         a = GridFunction(GridSpec((0.0,), 0.5, (5,)), np.zeros(5))

@@ -141,9 +141,10 @@ class TestMollifierFor:
         with pytest.raises(MollifierError, match="empty valid region"):
             mollifier_for(GridSpec((0.0, 0.0), h, extents), eps)
 
-    @pytest.mark.parametrize("eps", [math.inf, math.nan, -1.0])
+    @pytest.mark.parametrize("eps", [math.inf, math.nan, -1.0, 0.0])
     def test_bad_radius_is_an_argument_error(self, eps):
-        with pytest.raises(ValueError, match="support radius must be positive"):
+        message = f"^support radius must be positive and finite, got {eps}$"
+        with pytest.raises(ValueError, match=message):
             mollifier_for(GridSpec((0.0,), 0.1, (5,)), eps)
 
 
