@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -80,20 +80,19 @@ class FundamentalSolution:
 
     def radial(self, r: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
         """Kernel value at distance ``r > 0`` from the source."""
-        return _kernel_of_squared_distance(self, np.square(r))
+        return _kernel_of_offsets(self, (np.asarray(r, dtype=float),))
 
     def evaluate(self, x: Sequence[float]) -> float:
         point = tuple(float(v) for v in x)
         if len(point) != self.dim or not all(map(math.isfinite, point)):
             raise ValueError(f"point must have {self.dim} finite coordinates, got {point}")
-        # fsum is exactly rounded, so the value is invariant under coordinate
-        # permutations and sign flips, not merely close.
-        d2 = math.fsum(v * v for v in point)
-        if d2 == 0.0:
+        if not any(point):
             raise ValueError(
                 "fundamental solution is singular at the origin; use cell_average"
             )
-        return float(_kernel_of_squared_distance(self, d2))
+        # fsum is exactly rounded, so the value is invariant under coordinate
+        # permutations and sign flips, not merely close.
+        return float(_kernel_of_offsets(self, point, math.fsum))
 
     def cell_average(self, h: float, subdivisions: int = 8) -> float:
         """Average over the h-cell centered at the singularity, by midpoint subcells."""
@@ -102,7 +101,7 @@ class FundamentalSolution:
             raise ValueError("cell averaging needs at least 2 subdivisions per axis")
         offsets = -h / 2.0 + (np.arange(subdivisions) + 0.5) * (h / subdivisions)
         meshes = np.meshgrid(*([offsets] * self.dim), indexing="ij")
-        return float(np.mean(_kernel_of_squared_distance(self, sum(m * m for m in meshes))))
+        return float(np.mean(_kernel_of_offsets(self, meshes)))
 
 
 def newtonian_potential(
@@ -158,6 +157,30 @@ def _kernel_of_squared_distance(
     return vals
 
 
+def _kernel_of_offsets(fs: FundamentalSolution, offsets: Sequence, total: Callable = sum):
+    """Kernel values at the per-axis ``offsets`` (arrays of one shape, or floats) from the source.
+
+    The squared distance is ``total`` of the squared offsets.  Where it is not
+    a normal float, the offsets are first divided by ``2^k``, with ``k`` the
+    binary exponent of the largest one, and the kernel is scaled back: plus
+    ``k log(2) / 2 pi`` in the plane, times ``2^(k (2 - n))`` otherwise.  Every
+    other entry has ``k = 0``, so it is the kernel of the unscaled squared
+    distance, bit for bit.  A kernel past the float range is infinite, with no
+    warning.
+    """
+    with np.errstate(over="ignore", under="ignore"):
+        try:
+            d2 = total(np.square(o) for o in offsets)
+        except OverflowError:  # math.fsum of finite squares whose sum overflows
+            d2 = math.inf
+        normal = (d2 >= np.finfo(float).tiny) & (d2 < math.inf)
+        k = np.where(normal, 0, np.frexp(np.max(np.abs(offsets), axis=0))[1])
+        vals = _kernel_of_squared_distance(fs, total(np.square(np.ldexp(o, -k)) for o in offsets))
+        if fs.dim == 2:
+            return vals + k * (math.log(2.0) / (2.0 * math.pi))
+        return np.ldexp(vals, k * (2 - fs.dim))
+
+
 def _hockney_potential(
     fs: FundamentalSolution,
     source: GridFunction,
@@ -170,17 +193,17 @@ def _hockney_potential(
     Target node t sees source node s at displacement ``offset + t - s``, so
     the sum is the valid convolution of the source with the kernel tabulated
     on displacements ``offset - (Ns-1) ... offset + Nt - 1`` per axis; that
-    table's extent ``Ns + Nt - 1`` is never below the source's ``Ns``.
+    table's extent ``Ns + Nt - 1`` is never below the source's ``Ns``.  The
+    self-cell rule is the direct sum's: a displacement under 1e-9 cells.
     """
     h = source.spec.h
     src_extents = source.spec.extents
     displacements = np.ix_(
         *(h * np.arange(o - s + 1, o + t) for o, s, t in zip(offset, src_extents, target_extents))
     )
-    table = _kernel_of_squared_distance(fs, sum(d * d for d in displacements))
-    zero = tuple(s - 1 - o for o, s in zip(offset, src_extents))
-    if all(0 <= z < length for z, length in zip(zero, table.shape)):
-        table[zero] = self_value
+    d2 = sum(d * d for d in displacements)
+    table = _kernel_of_squared_distance(fs, d2)
+    table[d2 <= (1e-9 * h) ** 2] = self_value
     return h**fs.dim * _valid_convolve(table, source.values)
 
 
@@ -190,64 +213,52 @@ def _direct_potential(
     targets: GridSpec,
     self_value: float,
 ) -> np.ndarray:
-    """The lattice sum on the nodes of ``targets``, flattened in row-major order.
+    """The lattice sum on the nodes of ``targets``, shape (leading nodes, last-axis nodes).
 
     Both grids are tensor grids, so the squared distance from target node
     ``(i_0, i_1, ...)`` to nonzero source node ``s`` is
     ``T_0[i_0, s] + T_1[i_1, s] + ...`` with ``T_a = (target_a - source_a)^2``,
-    summed in axis order.  The targets go in blocks that are boxes: one index
-    on each axis before a split axis, a run of indices on it, and every index
-    on the axes after it.  A block's distances are one broadcast add into a
-    reused buffer, on which the kernel is then taken in place.  The near-pair
-    test runs only on blocks whose axis-0 terms hold a near entry, since no
-    sum of squares is below its axis-0 term.
+    summed in axis order.  A block is a run of ``step`` flattened leading
+    multi-indices (every axis but the last) times a run of ``run`` last-axis
+    indices.  Each run of leading rows gathers its leading sum from the tables
+    once; a block's distances are then one broadcast add of that sum and the
+    last axis's table into a reused buffer, on which the kernel is taken in
+    place.  The near-pair test runs only when the leading sum holds a near
+    entry, since no sum of squares is below its leading terms.
     """
     n = fs.dim
     h = source.spec.h
     keep = source.values != 0.0
     weights = source.values[keep]
     count = weights.size
-    src = [source.spec.axis_coords(a)[i] for a, i in enumerate(np.nonzero(keep))]
-    coords = [targets.axis_coords(a) for a in range(n)]
-
-    def table(axis: int, rows: slice) -> np.ndarray:
-        diff = coords[axis][rows, None] - src[axis]
-        diff *= diff
-        return diff
-
-    extents = targets.extents
-    near_sq = (1e-9 * h) ** 2
-    # About 2 MB per (block x sources) temporary, so each fits one core's L2
-    # cache; the axis tables after the split axis are no larger than a block.
-    chunk = max(1, 250_000 // max(1, count))
-    split = next(a for a in range(n) if math.prod(extents[a + 1 :]) <= chunk)
-    tail = extents[split + 1 :]
-    step = min(extents[split], chunk // math.prod(tail))
-    trailing = [
-        table(a, slice(None)).reshape(extents[a], *(1,) * (n - 1 - a), count)
-        for a in range(split + 1, n)
+    tables = [
+        np.square(targets.axis_coords(a)[:, None] - source.spec.axis_coords(a)[i])
+        for a, i in enumerate(np.nonzero(keep))
     ]
-    buf = np.empty(chunk * count)
-    out = np.empty(math.prod(extents))
-    start = 0
-    for prefix in np.ndindex(*extents[:split]):
-        leading = [table(a, slice(i, i + 1)) for a, i in enumerate(prefix)]
-        for lo in range(0, extents[split], step):
-            rows = table(split, slice(lo, lo + step))
-            block = (len(rows), *tail)
-            size = math.prod(block)
-            terms = [*leading, rows.reshape(len(rows), *(1,) * len(tail), count), *trailing]
-            head = terms[0]
-            for term in terms[1:-1]:
-                head = head + term
-            d2 = buf[: size * count].reshape(*block, count)
-            np.add(head, terms[-1], out=d2)
-            near = d2 <= near_sq if np.any(terms[0] <= near_sq) else None
+    *leading, last = targets.extents
+    near_sq = (1e-9 * h) ** 2
+    # About 2 MB per (block x sources) temporary, so each fits one core's L2 cache.
+    chunk = max(1, 250_000 // max(1, count))
+    step, run = max(1, chunk // last), min(last, chunk)
+    buf = np.empty(step * run * count)
+    out = np.empty((math.prod(leading), last))
+    for lo in range(0, len(out), step):
+        index = np.unravel_index(np.arange(lo, min(lo + step, len(out))), leading)
+        head = tables[0][index[0]]
+        for table, i in zip(tables[1:-1], index[1:]):
+            head += table[i]
+        gate = np.any(head <= near_sq)
+        for col in range(0, last, run):
+            cols = tables[-1][col : col + run]
+            block = (len(head), len(cols))
+            d2 = buf[: math.prod(block) * count].reshape(*block, count)
+            np.add(head[:, None], cols, out=d2)
+            near = d2 <= near_sq if gate else None
             vals = _kernel_of_squared_distance(fs, d2, out=d2)
             if near is not None:
                 vals[near] = self_value
-            out[start : start + size] = h**n * (vals.reshape(size, count) @ weights)
-            start += size
+            sums = vals.reshape(math.prod(block), count) @ weights
+            out[lo : lo + block[0], col : col + block[1]] = h**n * sums.reshape(block)
     return out
 
 
@@ -750,20 +761,25 @@ def convergence_study(
 ) -> list[ConvergenceRow]:
     """Per-spacing max-norm error of a Dirichlet solve against a reference expression.
 
-    ``problem`` is ``laplace`` or ``poisson``; each spacing solves on the box
-    ``origin + [0, length]`` per axis with the reference as boundary data.
+    ``problem`` is ``laplace``, which takes no ``rhs``, or ``poisson``, which
+    needs one; each spacing solves on the box ``origin + [0, length]`` per
+    axis with the reference as boundary data.
     Non-convergence is reported, not raised: the study stops after the first
     spacing whose solve does not converge, and that row has ``converged``
     False.  Every grid is checked against the node limit before any solve.
     """
+    if problem not in ("laplace", "poisson"):
+        raise ValueError(f"unknown problem {problem!r}: expected laplace or poisson")
+    if problem == "poisson" and not rhs:
+        raise ValueError("a poisson study needs --rhs")
+    if problem == "laplace" and rhs:
+        raise ValueError("a laplace study takes no --rhs")
     if len(h_list) < 2:
         raise ValueError("convergence study needs at least 2 spacings")
     if any(b >= a for a, b in zip(h_list, h_list[1:])):
         raise ValueError("spacings must be strictly decreasing")
     ref = parse(reference)
     rhs_expr = parse(rhs) if rhs else None
-    if problem == "poisson" and rhs_expr is None:
-        raise ValueError("a poisson study needs --rhs")
     specs = _box_specs(origin, (length,) * len(origin), h_list)
     rows: list[ConvergenceRow] = []
     for spec in specs:

@@ -756,6 +756,15 @@ class TestConvergenceCommand:
         )
         assert code == 1
 
+    def test_laplace_study_rejects_rhs(self, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        code = main(["convergence", "--problem", "laplace", "--reference", "x1", "--rhs", "x1",
+                     "--h", "0.5", "0.25", "--origin", "0", "0", "--length", "1",
+                     "--output", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: a laplace study takes no --rhs\n"
+        assert not out.exists()
+
 
 class TestExpressionOptionLeadingMinus:
     @pytest.mark.parametrize(

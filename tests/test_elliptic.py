@@ -117,6 +117,55 @@ class TestFundamentalSolution:
                 average = fs.cell_average(h, subdivisions)
                 assert average == pytest.approx(expected, rel=1e-15, abs=0.0)
 
+    @pytest.mark.parametrize(
+        "dim, call, r",
+        [
+            (2, lambda fs: fs.evaluate((1e200, 0.0)), 1e200),
+            (2, lambda fs: fs.evaluate((1e-200, 0.0)), 1e-200),
+            (3, lambda fs: fs.evaluate((1e200, 0.0, 0.0)), 1e200),
+            (3, lambda fs: fs.evaluate((0.0, -1e-200, 0.0)), 1e-200),
+            (2, lambda fs: fs.radial(1e200), 1e200),
+            (3, lambda fs: fs.radial(1e-170), 1e-170),
+            # each square is finite, their sum is not
+            (2, lambda fs: fs.evaluate((1e154, 1e154)), math.hypot(1e154, 1e154)),
+            (3, lambda fs: fs.evaluate((1e154, -1e154, 1e154)), math.hypot(1e154, 1e154, 1e154)),
+        ],
+        ids=["2d-evaluate-far", "2d-evaluate-near", "3d-evaluate-far", "3d-evaluate-near",
+             "2d-radial-far", "3d-radial-near", "2d-evaluate-far-sum", "3d-evaluate-far-sum"],
+    )
+    def test_distances_whose_square_leaves_the_float_range(self, dim, call, r):
+        expected = math.log(r) / (2.0 * math.pi) if dim == 2 else -1.0 / (4.0 * math.pi * r)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = call(FundamentalSolution(dim))
+        assert value == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("point", [(1e-310, 0.0, 0.0), (1e-200, 0.0, 0.0, 0.0)], ids=["3d", "4d"])
+    def test_kernels_past_the_float_range_are_infinite_without_warning(self, point):
+        fs = FundamentalSolution(len(point))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert fs.evaluate(point) == -math.inf
+            assert fs.radial(point[0]) == -math.inf
+
+    @pytest.mark.parametrize("h", [1e-300, 1e300])
+    def test_cell_average_whose_squares_leave_the_float_range(self, h):
+        offsets = -h / 2.0 + (np.arange(8) + 0.5) * (h / 8)
+        r = np.hypot(*np.meshgrid(offsets, offsets, indexing="ij"))  # hypot squares nothing
+        expected = float(np.mean(np.log(r))) / (2.0 * math.pi)
+        average = FundamentalSolution(2).cell_average(h)
+        assert average == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_distances_whose_square_is_normal_keep_their_bits(self, dim):
+        fs = FundamentalSolution(dim)
+        # 2^-511 squares to the smallest normal float, the last entry to the largest
+        r = np.array([2.0**-511, 1e-150, 0.3, 1.0, 7.5, 1e150, math.ldexp(1.0 - 2.0**-53, 512)])
+        assert fs.radial(r).tobytes() == _kernel_of_squared_distance(fs, r * r).tobytes()
+        for v in r:
+            point = (0.0,) * (dim - 1) + (-v,)
+            assert fs.evaluate(point) == _kernel_of_squared_distance(fs, v * v)
+
 
 class TestNewtonianPotential:
     def test_zero_source(self):
@@ -233,6 +282,7 @@ def _pairwise_potential(
 
 SOURCE_2D = GridSpec((-1.0, -0.75), 0.125, (17, 13))
 SOURCE_3D = GridSpec((-1.0, -1.0, -0.75), 0.25, (9, 9, 7))
+SOURCE_4D = GridSpec((-1.0, -0.75, -1.0, -0.75), 0.25, (9, 7, 9, 7))
 
 # source grid, target origin in cells from the source origin, target extents
 ON_LATTICE = {
@@ -289,9 +339,11 @@ class TestPotentialPaths:
 
 # source grid, single nonzero node (or None for the bump), target pitch,
 # target origin in source cells (None: a random fraction of a cell on each
-# axis, from the test's seed), target extents.  With the bump's 69 (2-D) or
-# 57 (3-D) nonzeros, the "split-axis" extents are too wide for one block to
-# hold whole rows, so blocks cover a run of the trailing axes.
+# axis, from the test's seed), target extents.  With the bump's 69 (2-D), 57
+# (3-D) or 137 (4-D) nonzeros a block holds 3623, 4385 or 1824 targets: runs
+# of whole leading rows when the last axis is shorter, which cross axis
+# boundaries in "3d-split-axis-1" and the "leading-runs" cases, else runs of
+# one last axis whose final run is ragged ("split-axis" 1 in 2-D, 2 in 3-D).
 OFF_LATTICE = {
     "2d-other-pitch": (SOURCE_2D, None, 0.1, None, (23, 19)),
     "2d-half-pitch-coinciding": (SOURCE_2D, None, 0.0625, (2, 1), (31, 22)),
@@ -306,6 +358,9 @@ OFF_LATTICE = {
     "3d-split-axis-1": (SOURCE_3D, None, 0.03, None, (2, 70, 70)),
     "3d-split-axis-2": (SOURCE_3D, None, 0.125, (4, 3, 0), (1, 2, 5000)),
     "3d-single-nonzero": (SOURCE_3D, (4, 4, 3), 0.125, (3, 3, 2), (6, 7, 5)),
+    "3d-leading-runs-cross-axis-1": (SOURCE_3D, None, 0.02, None, (40, 37, 130)),
+    "3d-ragged-last-runs": (SOURCE_3D, None, 0.0003, None, (2, 3, 9000)),
+    "4d-leading-runs-cross-axes": (SOURCE_4D, None, 0.1, None, (4, 5, 6, 70)),
 }
 
 
@@ -962,6 +1017,18 @@ class TestConvergenceStudy:
     def test_poisson_needs_rhs(self):
         with pytest.raises(ValueError, match="rhs"):
             convergence_study("poisson", "x1", None, (0.0, 0.0), 1.0, [0.5, 0.25])
+
+    @pytest.mark.parametrize(
+        "problem, rhs, message",
+        [("laplace", "x1", "a laplace study takes no --rhs"),
+         ("foo", None, "unknown problem 'foo': expected laplace or poisson"),
+         ("foo", "x1", "unknown problem 'foo': expected laplace or poisson")],
+    )
+    def test_problem_and_rhs_refused_before_any_sample(self, problem, rhs, message, monkeypatch):
+        monkeypatch.setattr(elliptic, "sample", no_sample)
+        with pytest.raises(ValueError) as info:
+            convergence_study(problem, "x1", rhs, (0.0, 0.0), 1.0, [0.5, 0.25])
+        assert str(info.value) == message
 
     @pytest.mark.parametrize(
         "length,h_list",

@@ -96,11 +96,17 @@ def test_solve_laplace_writes_a_solution(workdir, expression, extents):
     assert (workdir / "sol.grd").stat().st_size > 0
 
 
-def test_off_lattice_potential_is_byte_identical_across_runs(workdir):
-    spec = GridSpec((-1.0, -1.0), 0.125, (17, 17))
-    s = sum(m * m for m in spec.meshes()) / 0.5**2
+@pytest.mark.parametrize(
+    "spec, radius, targets",
+    [(GridSpec((-1.0, -1.0), 0.125, (17, 17)), 0.5,
+      GridSpec((-0.6180339887, 0.3141592653), 0.0703125, (23, 19))),
+     (GridSpec((-1.0, -1.0, -1.0), 0.25, (9, 9, 9)), 0.6,
+      GridSpec((-0.6180339887, 0.3141592653, 0.2718281828), 0.0703125, (23, 19, 17)))],
+    ids=["2d", "3d"],
+)
+def test_off_lattice_potential_is_byte_identical_across_runs(workdir, spec, radius, targets):
+    s = sum(m * m for m in spec.meshes()) / radius**2
     save_grid(GridFunction(spec, np.where(s < 1, (1 - s) ** 4, 0.0)), str(workdir / "src.grd"))
-    targets = GridSpec((-0.6180339887, 0.3141592653), 0.0703125, (23, 19))
     save_grid(GridFunction(targets, np.zeros(targets.extents)), str(workdir / "tgt.grd"))
     outputs = []
     for name in ("pot1.grd", "pot2.grd"):
