@@ -36,8 +36,8 @@ from .elliptic import (
     solve_laplace_dirichlet,
     solve_poisson_dirichlet,
 )
-from .expr import ExprEvalError, parse as parse_expr
-from .grid import GridFunction, GridSpec, _atomic_write, load_grid, sample, save_grid
+from .expr import ExprEvalError
+from .grid import GridSpec, _atomic_write, load_grid, sample, save_grid
 from .mollify import MollifierError, convolve, mollifier_for
 from .stencil import biharmonic_stencil, laplace_stencil, load_stencil, residual
 
@@ -81,14 +81,14 @@ def _emit_csv(header: str, rows: Iterable[Sequence], output: str | None) -> None
 
 
 def _cmd_classify(args) -> int:
+    probe_options = (args.probe_origin, args.probe_h, args.probe_extents)
+    # exactly one source of points: --at alone, or all three probe options
+    if [v is not None for v in probe_options] != [args.at is None] * 3:
+        raise _UsageError("classify needs --at or all of --probe-origin/--probe-h/--probe-extents")
     s = load_stencil(args.stencil)
     if args.at is not None:
-        if len(args.at) != s.dim:
-            raise _UsageError(f"--at needs {s.dim} coordinates")
         probe = _point_probe(args.at)
     else:
-        if args.probe_origin is None or args.probe_h is None or args.probe_extents is None:
-            raise _UsageError("classify needs --at or all of --probe-origin/--probe-h/--probe-extents")
         probe = GridSpec(tuple(args.probe_origin), args.probe_h, tuple(args.probe_extents))
     report = classify_region(s, probe, args.tol)
     axes = range(1, s.dim + 1)
@@ -106,30 +106,27 @@ def _cmd_apply(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    # built per call, so the solver names are looked up when the command runs
+    solvers = {
+        "laplace": (solve_laplace_dirichlet, False, False),
+        "poisson": (solve_poisson_dirichlet, True, False),
+        "biharmonic": (solve_biharmonic, True, True),
+    }
+    solve, takes_rhs, takes_lap_boundary = solvers[args.operator]
+    if not takes_rhs and (args.rhs or args.rhs_grid):
+        raise _UsageError(f"solve {args.operator} takes no right-hand side")
+    if not takes_lap_boundary and args.lap_boundary:
+        raise _UsageError("--lap-boundary applies only to solve biharmonic")
+    if takes_lap_boundary and not args.lap_boundary:
+        raise _UsageError(f"solve {args.operator} needs --lap-boundary")
     domain = load_grid(args.grid)
     spec = domain.spec
-    g = sample(parse_expr(args.boundary), spec) if args.boundary else domain
-
-    def rhs_grid() -> GridFunction:
-        if args.rhs_grid:
-            return load_grid(args.rhs_grid)
-        if args.rhs:
-            return sample(parse_expr(args.rhs), spec)
-        return GridFunction(spec, np.zeros(spec.extents))
-
-    if args.operator == "laplace" and (args.rhs or args.rhs_grid):
-        raise _UsageError("solve laplace takes no right-hand side")
-    if args.operator != "biharmonic" and args.lap_boundary:
-        raise _UsageError("--lap-boundary applies only to solve biharmonic")
-    if args.operator == "laplace":
-        solve, inputs = solve_laplace_dirichlet, (g,)
-    elif args.operator == "poisson":
-        solve, inputs = solve_poisson_dirichlet, (rhs_grid(), g)
-    else:
-        if not args.lap_boundary:
-            raise _UsageError("solve biharmonic needs --lap-boundary")
-        g_lap = sample(parse_expr(args.lap_boundary), spec)
-        solve, inputs = solve_biharmonic, (rhs_grid(), g, g_lap)
+    inputs = [sample(args.boundary, spec) if args.boundary else domain]
+    if takes_rhs:
+        rhs = load_grid(args.rhs_grid) if args.rhs_grid else sample(args.rhs or "0", spec)
+        inputs.insert(0, rhs)
+    if takes_lap_boundary:
+        inputs.append(sample(args.lap_boundary, spec))
     # every input is built before the clock starts, so the line times the solve alone
     start = time.perf_counter()
     report = solve(*inputs, args.tol, args.max_iter)
@@ -173,11 +170,7 @@ def _cmd_verify(args) -> int:
     u = load_grid(args.grid)
     stencil = laplace_stencil if args.operator == "laplace" else biharmonic_stencil
     s = stencil(u.spec.dim, u.spec.h, scaled=args.scaled)
-    if args.rhs:
-        rhs = sample(parse_expr(args.rhs), u.spec)
-    else:
-        rhs = GridFunction(u.spec, np.zeros(u.spec.extents))
-    l1, linf = residual(s, u, rhs)
+    l1, linf = residual(s, u, sample(args.rhs or "0", u.spec))
     passed, _ = max_principle_check(u)
     scaled = "true" if args.scaled else "false"
     _emit_csv(
@@ -238,8 +231,9 @@ def _build_parser() -> _ArgumentParser:
     p.add_argument("operator", choices=("laplace", "poisson", "biharmonic"))
     p.add_argument("--grid", required=True, help="domain grid (values = default boundary data)")
     p.add_argument("--boundary", help="boundary expression (default: grid file values)")
-    p.add_argument("--rhs", help="right-hand side expression")
-    p.add_argument("--rhs-grid", help="right-hand side grid file")
+    rhs = p.add_mutually_exclusive_group()
+    rhs.add_argument("--rhs", help="right-hand side expression")
+    rhs.add_argument("--rhs-grid", help="right-hand side grid file")
     p.add_argument("--lap-boundary", help="boundary expression for the Laplacian stage")
     p.add_argument("--tol", type=float, default=SOLVE_TOL)
     p.add_argument("--max-iter", type=int, default=SOLVE_MAX_ITER)

@@ -286,17 +286,19 @@ def _boundary_mask(extents: Sequence[int]) -> np.ndarray:
 
 
 def _sor_dirichlet(
-    boundary: GridFunction,
-    rhs_values: np.ndarray | None,
-    tol: float,
-    max_iter: int,
-    residual_scale: float,
+    boundary: GridFunction, rhs: GridFunction | None, tol: float, max_iter: int
 ) -> SolveReport:
     """Red-black SOR for the centered operator with Dirichlet data.
 
     The boundary ring of ``boundary`` is held fixed; its interior is the
     initial guess.  The relaxation factor is the model-problem optimum
     ``2 / (1 + sin(pi h / L))`` with L the longest box side.
+
+    ``rhs`` is the Poisson right-hand side, on the grid of ``boundary``, or
+    None for Laplace.  The residual is the max norm of the unscaled centered
+    sum over the interior, times ``h^(-2)`` for Poisson, so that it is
+    measured against the scaled operator; an ``h^(-2)`` that is not a finite
+    float raises ``OverflowError`` before any sweep.
 
     An interior node is red when the sum of its interior indices is even.
     The grid is copied into an array whose axes after the first are padded
@@ -316,6 +318,14 @@ def _sor_dirichlet(
     ``OverflowError``.
     """
     spec = boundary.spec
+    h = spec.h
+    residual_scale = 1.0
+    if rhs is not None:
+        if rhs.spec != spec:
+            raise ValueError("right-hand side and boundary data must share one grid")
+        if h * h == 0.0 or math.isinf(1.0 / (h * h)):
+            raise OverflowError(f"scale factor h^(-2) overflows at h = {h!r}")
+        residual_scale = 1.0 / (h * h)
     extents = spec.extents
     n = spec.dim
     if any(e < 3 for e in extents):
@@ -323,15 +333,14 @@ def _sor_dirichlet(
     _check_tolerance(tol)
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    h = spec.h
     grid = tuple(slice(0, e) for e in extents)
     interior = tuple(slice(1, e - 1) for e in extents)
     u = np.zeros(extents[:1] + tuple(e | 1 for e in extents[1:]))
     u[grid] = boundary.values
     b = None
-    if rhs_values is not None:
+    if rhs is not None:
         b = np.zeros_like(u)
-        b[interior] = (h * h) * rhs_values[interior]
+        b[interior] = (h * h) * rhs.values[interior]
         b = b.reshape(-1)
     inside = np.zeros(u.shape, dtype=bool)
     inside[interior] = True
@@ -460,19 +469,14 @@ def solve_laplace_dirichlet(
     The residual is the max norm of the unscaled centered sum over the
     interior.  Non-convergence is reported, not raised.
     """
-    return _sor_dirichlet(boundary, None, tol, max_iter, 1.0)
+    return _sor_dirichlet(boundary, None, tol, max_iter)
 
 
 def solve_poisson_dirichlet(
     f: GridFunction, boundary: GridFunction, tol: float = SOLVE_TOL, max_iter: int = SOLVE_MAX_ITER
 ) -> SolveReport:
     """Solve the centered discrete Poisson equation; residual against the h^(-2) operator."""
-    if f.spec != boundary.spec:
-        raise ValueError("right-hand side and boundary data must share one grid")
-    h = boundary.spec.h
-    if h * h == 0.0 or math.isinf(1.0 / (h * h)):
-        raise OverflowError(f"scale factor h^(-2) overflows at h = {h!r}")
-    return _sor_dirichlet(boundary, f.values, tol, max_iter, 1.0 / (h * h))
+    return _sor_dirichlet(boundary, f, tol, max_iter)
 
 
 def _centered_laplacian(values: np.ndarray, h: float) -> np.ndarray:

@@ -473,6 +473,69 @@ class TestSolveTiming:
         assert capsys.readouterr().err == "error: solve biharmonic needs --lap-boundary\n"
 
 
+def _nothing_is_built(*args, **kwargs):
+    raise AssertionError("an input was read or sampled")
+
+
+NO_PROBE = "error: classify needs --at or all of --probe-origin/--probe-h/--probe-extents\n"
+PROBE = ["--probe-origin", "5", "5", "--probe-h", "1", "--probe-extents", "2", "2"]
+
+
+class TestRefusedBeforeAnythingIsBuilt:
+    """A bad combination of inputs is refused before any file is read or anything is sampled."""
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (["solve", "laplace", "--rhs", "1"], "error: solve laplace takes no right-hand side\n"),
+            (["solve", "laplace", "--rhs-grid", "f.grd"],
+             "error: solve laplace takes no right-hand side\n"),
+            (["solve", "poisson", "--lap-boundary", "1"],
+             "error: --lap-boundary applies only to solve biharmonic\n"),
+            (["solve", "biharmonic", "--rhs", "1"], "error: solve biharmonic needs --lap-boundary\n"),
+            (["solve", "poisson", "--rhs", "1/0", "--rhs-grid", "f.grd"],
+             "error: argument --rhs-grid: not allowed with argument --rhs\n"),
+            (["classify", "--at", "0", "0", *PROBE[:3]], NO_PROBE),
+            (["classify", "--at", "0", "0", *PROBE[3:5]], NO_PROBE),
+            (["classify", "--at", "0", "0", *PROBE[5:]], NO_PROBE),
+            (["classify", "--at", "0", "0", *PROBE], NO_PROBE),
+            (["classify"], NO_PROBE),
+        ],
+        ids=["laplace-rhs", "laplace-rhs-grid", "poisson-lap-boundary", "biharmonic-no-lap-boundary",
+             "rhs-and-rhs-grid", "at-probe-origin", "at-probe-h", "at-probe-extents", "at-probe",
+             "no-points"],
+    )
+    def test_one_error_line_no_output(self, tmp_path, capsys, monkeypatch, argv, err):
+        for name in ("load_grid", "sample", "load_stencil"):
+            monkeypatch.setattr(cli, name, _nothing_is_built)
+        out = tmp_path / "out"
+        inputs = ["--stencil", "s.stn"] if argv[0] == "classify" else ["--grid", "g.grd"]
+        assert main([*argv, *inputs, "--output", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "extra, err",
+        [
+            (["laplace", "--rhs", "1"], "solve laplace takes no right-hand side"),
+            (["biharmonic"], "solve biharmonic needs --lap-boundary"),
+            (["poisson", "--lap-boundary", "1"], "--lap-boundary applies only to solve biharmonic"),
+        ],
+        ids=["laplace-rhs", "biharmonic-no-lap-boundary", "poisson-lap-boundary"],
+    )
+    def test_unsampleable_boundary_is_not_sampled(self, box_grid, tmp_path, capsys, extra, err):
+        # ln(x1) fails at x1 = 0, so sampling it first would end in exit 2
+        out = tmp_path / "u.grd"
+        argv = ["solve", *extra, "--grid", box_grid, "--boundary", "ln(x1)", "--output", str(out)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {err}\n"
+        assert not out.exists()
+
+
 RHS = "sin(3*x1) * exp(-x2)"
 RHS_OPERATORS = [("poisson", []), ("biharmonic", ["--lap-boundary", "x1 - x2"])]
 

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -947,6 +948,26 @@ def test_tolerance_that_is_not_positive_is_refused_before_any_sweep(call, tol, m
     g = GridFunction(GridSpec((0.0, 0.0), 0.125, (9, 9)), np.zeros((9, 9)))
     with pytest.raises(ValueError, match=f"^tolerance must be positive, got {tol}$"):
         NOT_POSITIVE_TOLERANCE_CALLS[call](g, tol)
+
+
+class TestPoissonRefusals:
+    """Grid match, then the h^(-2) overflow, then the other arguments; all before any sweep."""
+
+    def test_grids_that_differ(self, monkeypatch):
+        monkeypatch.setattr(elliptic, "_Color", _no_sweep)
+        g = GridFunction(GridSpec((0.0, 0.0), 1e-170, (3, 3)), np.zeros((3, 3)))
+        f = GridFunction(GridSpec((0.0, 0.0), 0.125, (3, 3)), np.zeros((3, 3)))
+        message = "^right-hand side and boundary data must share one grid$"
+        with pytest.raises(ValueError, match=message):
+            solve_poisson_dirichlet(f, g, math.nan, 0)
+
+    @pytest.mark.parametrize("h", [1e-160, 1e-170], ids=["h2-subnormal", "h2-zero"])
+    def test_inverse_square_spacing_overflows(self, monkeypatch, h):
+        monkeypatch.setattr(elliptic, "_Color", _no_sweep)
+        g = GridFunction(GridSpec((0.0, 0.0), h, (3, 3)), np.zeros((3, 3)))
+        message = re.escape(f"scale factor h^(-2) overflows at h = {h!r}")
+        with pytest.raises(OverflowError, match=f"^{message}$"):
+            solve_poisson_dirichlet(g, g, math.nan, 0)
 
 
 class TestHarmonicityResidual:
