@@ -4,8 +4,9 @@ This module parses arguments, lays out CSV and maps exceptions to exit codes;
 everything else lives in the library.  Results go to files or standard
 output, diagnostics to standard error.  CSV output uses a fixed header per
 subcommand and 17-significant-digit floats, so identical inputs produce
-byte-identical output.  Files are written through ``grid._atomic_write``,
-never left half-written.
+byte-identical output.  Each command returns its outputs and ``main`` writes
+all of its files or none, through ``grid._atomic_write``, and then standard
+output; an error names the target path as given.
 
 Exit codes: 0 success, 1 input or parse error, 2 numerical failure
 (non-convergence, coefficient evaluation failure or floating-point overflow)
@@ -17,6 +18,7 @@ numerical failure ends in one ``error:`` line rather than a warning.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from typing import Iterable, Iterator, Sequence
@@ -37,7 +39,7 @@ from .elliptic import (
     solve_poisson_dirichlet,
 )
 from .expr import ExprEvalError
-from .grid import GridSpec, _atomic_write, load_grid, sample, save_grid
+from .grid import GridSpec, _atomic_write, grid_file_text, load_grid, sample
 from .mollify import MollifierError, convolve, mollifier_for
 from .stencil import biharmonic_stencil, laplace_stencil, load_stencil, residual
 
@@ -47,6 +49,8 @@ __all__ = ["main"]
 _EXPRESSION_OPTIONS = ("--boundary", "--rhs", "--lap-boundary", "--reference")
 # Options whose values are coordinates, which may be negative in any spelling float() takes.
 _COORDINATE_OPTIONS = ("--at", "--probe-origin", "--origin")
+# What a command returns: (file, or None for standard output; its text) pairs, written by main.
+Outputs = list[tuple[str | None, str]]
 
 
 class _UsageError(ValueError):
@@ -62,7 +66,7 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _emit_csv(header: str, rows: Iterable[Sequence], output: str | None) -> None:
+def _csv_text(header: str, rows: Iterable[Sequence]) -> str:
     """The header line then one line per row: text as is, numbers in ``.17g``.
 
     All rows are formatted by one ``%`` over a template of ``%s`` and
@@ -73,14 +77,10 @@ def _emit_csv(header: str, rows: Iterable[Sequence], output: str | None) -> None
     for row in rows:
         lines.append(",".join(["%s" if isinstance(v, str) else "%.17g" for v in row]) + "\n")
         values.extend(row)
-    text = header + "\n" + "".join(lines) % tuple(values)
-    if output is None:
-        sys.stdout.write(text)
-    else:
-        _atomic_write(output, text)
+    return header + "\n" + "".join(lines) % tuple(values)
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> Outputs:
     probe_options = (args.probe_origin, args.probe_h, args.probe_extents)
     # exactly one source of points: --at alone, or all three probe options
     if [v is not None for v in probe_options] != [args.at is None] * 3:
@@ -94,18 +94,17 @@ def _cmd_classify(args) -> int:
     axes = range(1, s.dim + 1)
     rows = zip(report.points.tolist(), report.eigenvalues.tolist(), report.labels)
     header = ",".join([f"x{k}" for k in axes] + [f"lambda{k}" for k in axes] + ["label"])
-    _emit_csv(header, [[*point, *eig, label] for point, eig, label in rows], args.output)
-    return 0
+    csv = _csv_text(header, [[*point, *eig, label] for point, eig, label in rows])
+    return [(args.output, csv)]
 
 
-def _cmd_apply(args) -> int:
+def _cmd_apply(args) -> Outputs:
     s = load_stencil(args.stencil)
     u = load_grid(args.grid)
-    save_grid(s.apply(u), args.output)
-    return 0
+    return [(args.output, grid_file_text(s.apply(u)))]
 
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args) -> Outputs:
     # built per call, so the solver names are looked up when the command runs
     solvers = {
         "laplace": (solve_laplace_dirichlet, False, False),
@@ -137,51 +136,39 @@ def _cmd_solve(args) -> int:
             f"solve {args.operator} did not converge within {args.max_iter} iterations "
             f"(best residual {report.final_residual:.3e})"
         )
-    save_grid(report.solution, args.output)
-    _emit_csv(
-        "operator,iterations,final_residual,converged",
-        [[args.operator, report.iterations, report.final_residual, "true"]],
-        args.report,
-    )
-    return 0
+    row = [args.operator, report.iterations, report.final_residual, "true"]
+    csv = _csv_text("operator,iterations,final_residual,converged", [row])
+    return [(args.output, grid_file_text(report.solution)), (args.report, csv)]
 
 
-def _cmd_mollify(args) -> int:
+def _cmd_mollify(args) -> Outputs:
     u = load_grid(args.grid)
     kernel = mollifier_for(u.spec, args.eps, args.refine)
-    save_grid(convolve(u, kernel), args.output)
-    _emit_csv(
-        "mass,support_radius,symmetry_deviation",
-        [[kernel.mass, kernel.support_radius, kernel.symmetry_deviation]],
-        args.report,
-    )
-    return 0
+    row = [kernel.mass, kernel.support_radius, kernel.symmetry_deviation]
+    csv = _csv_text("mass,support_radius,symmetry_deviation", [row])
+    return [(args.output, grid_file_text(convolve(u, kernel))), (args.report, csv)]
 
 
-def _cmd_potential(args) -> int:
+def _cmd_potential(args) -> Outputs:
     source = load_grid(args.source)
     targets = load_grid(args.targets).spec if args.targets else source.spec
     fs = FundamentalSolution(source.spec.dim)
-    save_grid(newtonian_potential(fs, source, targets), args.output)
-    return 0
+    return [(args.output, grid_file_text(newtonian_potential(fs, source, targets)))]
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> Outputs:
     u = load_grid(args.grid)
     stencil = laplace_stencil if args.operator == "laplace" else biharmonic_stencil
     s = stencil(u.spec.dim, u.spec.h, scaled=args.scaled)
     l1, linf = residual(s, u, sample(args.rhs or "0", u.spec))
     passed, _ = max_principle_check(u)
     scaled = "true" if args.scaled else "false"
-    _emit_csv(
-        "operator,scaled,residual_l1,residual_linf,max_principle",
-        [[args.operator, scaled, l1, linf, "pass" if passed else "fail"]],
-        args.output,
-    )
-    return 0
+    row = [args.operator, scaled, l1, linf, "pass" if passed else "fail"]
+    csv = _csv_text("operator,scaled,residual_l1,residual_linf,max_principle", [row])
+    return [(args.output, csv)]
 
 
-def _cmd_convergence(args) -> int:
+def _cmd_convergence(args) -> Outputs:
     rows = convergence_study(
         args.problem,
         args.reference,
@@ -194,13 +181,9 @@ def _cmd_convergence(args) -> int:
     )
     if not rows[-1].converged:
         raise _NumericalFailure(f"solve at h={rows[-1].h} did not converge")
-    _emit_csv(
-        "h,error,observed_order",
-        [[row.h, row.error, "exact" if row.exact else "" if row.order is None else row.order]
-         for row in rows],
-        args.output,
-    )
-    return 0
+    orders = ["exact" if row.exact else "" if row.order is None else row.order for row in rows]
+    table = [[row.h, row.error, order] for row, order in zip(rows, orders)]
+    return [(args.output, _csv_text("h,error,observed_order", table))]
 
 
 def _build_parser() -> _ArgumentParser:
@@ -310,8 +293,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(_mark_option_values(sys.argv[1:] if argv is None else argv))
+        report = vars(args).get("report")
+        if report is not None and os.path.realpath(report) == os.path.realpath(args.output):
+            raise _UsageError(f"--output {args.output} and --report {report} name the same file")
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            return args.func(args)
+            outputs = args.func(args)
+        _atomic_write([(path, text) for path, text in outputs if path is not None])
+        sys.stdout.write("".join(text for path, text in outputs if path is None))
+        return 0
     except SystemExit as exc:  # --help / --version
         return int(exc.code or 0)
     except (_NumericalFailure, ExprEvalError, MollifierError, ArithmeticError) as exc:

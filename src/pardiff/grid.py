@@ -7,6 +7,7 @@ index varies fastest), the same order used by the grid file format.
 
 from __future__ import annotations
 
+import errno
 import math
 import os
 import tempfile
@@ -246,26 +247,45 @@ def grid_file_text(u: GridFunction) -> str:
     return header + ("%.17g\n" * spec.node_count) % tuple(u.flat().tolist())
 
 
-def _atomic_write(path: str, text: str) -> None:
-    """Write ``text`` to a new ``.pardiff-*`` file beside ``path``, then rename it onto ``path``.
+def _atomic_write(files: Sequence[tuple[str, str]]) -> None:
+    """Write each ``(path, text)`` pair of ``files``: every path, or none of them.
 
-    ``O_EXCL`` refuses a name that already exists, and mode 0o666 lets the umask
-    set the permissions, as for ``open(path, "w")``.
+    Each text goes to a new ``.pardiff-*`` file beside its path (``O_EXCL``, mode
+    0o666 so the umask sets the permissions, as for ``open(path, "w")``), and
+    none is renamed until all are written: a failure before then removes every
+    temporary and leaves every path as it was.  An empty path, a directory and a
+    path under a regular file are refused before anything is staged.  Errors
+    name the path as given, not its temporary.  One window stays open: a rename
+    that fails after an earlier rename succeeded does not undo the earlier one.
     """
-    tmp = tempfile.mktemp(prefix=".pardiff-", dir=os.path.dirname(os.path.abspath(path)))
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    for path, _ in files:
+        code = (errno.ENOENT if not path else errno.EISDIR if os.path.isdir(path)
+                else errno.ENOTDIR if os.path.isfile(os.path.dirname(path)) else 0)
+        if code:
+            raise OSError(code, os.strerror(code), path)
+    staged: list[tuple[str, str]] = []  # (temporary, path) pairs not yet renamed
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        for path, text in files:
+            tmp = tempfile.mktemp(prefix=".pardiff-", dir=os.path.dirname(path))
+            try:
+                fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror, path) from None
+            staged.append((tmp, path))
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        while staged:
+            os.replace(*staged[0])
+            del staged[0]
     except BaseException:
-        os.unlink(tmp)
+        for tmp, _ in staged:
+            os.unlink(tmp)
         raise
 
 
 def save_grid(u: GridFunction, path: str) -> None:
     """Write the line-oriented grid file format (header then one value per line), atomically."""
-    _atomic_write(path, grid_file_text(u))
+    _atomic_write([(path, grid_file_text(u))])
 
 
 def _read_text(path: str) -> str:

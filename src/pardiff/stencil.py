@@ -273,7 +273,7 @@ def save_stencil(s: Stencil, path: str) -> None:
         c = t.constant
         coeff = format(c, ".17g") if c is not None else f'"{ex.to_string(t.coeff)}"'
         lines.append(f"term {shift}  {coeff}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write([(path, "\n".join(lines) + "\n")])
 
 
 def load_stencil(path: str) -> Stencil:

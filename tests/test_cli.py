@@ -1,3 +1,5 @@
+import contextlib
+import io
 import os
 import re
 import time
@@ -987,6 +989,77 @@ class TestOutputFileModes:
         assert set(modes.values()) == {0o666 & ~umask}, modes
 
 
+class TestAllOutputsOrNone:
+    """A command writes all of its files or none, and standard output after them."""
+
+    @pytest.fixture
+    def box9(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        save_grid(sample("x1*x2", GridSpec((0.0, 0.0), 0.25, (9, 9))), "box9.grd")
+        (tmp_path / "adir").mkdir()
+        (tmp_path / "afile").write_text("x\n")
+        return tmp_path
+
+    COMMANDS = [["solve", "poisson", "--rhs", "1"], ["mollify", "--eps", "0.75"]]
+
+    @pytest.mark.parametrize(
+        "outputs, err",
+        [
+            (["--report", "missing/r.csv", "--output", "o.grd"],
+             "error: [Errno 2] No such file or directory: 'missing/r.csv'\n"),
+            (["--report", "adir", "--output", "o.grd"],
+             "error: [Errno 21] Is a directory: 'adir'\n"),
+            (["--output", ""], "error: [Errno 2] No such file or directory: ''\n"),
+            (["--output", "afile/o.grd"], "error: [Errno 20] Not a directory: 'afile/o.grd'\n"),
+            (["--output", "o.grd", "--report", "afile/r.csv"],
+             "error: [Errno 20] Not a directory: 'afile/r.csv'\n"),
+        ],
+        ids=["report-in-missing-directory", "report-is-a-directory", "empty-output",
+             "output-under-a-file", "report-under-a-file"],
+    )
+    @pytest.mark.parametrize("command", COMMANDS, ids=["solve", "mollify"])
+    def test_a_target_that_cannot_be_written_leaves_nothing(self, box9, capsys, command, outputs,
+                                                            err):
+        before = sorted(os.listdir(box9))
+        for _ in range(2):
+            assert main([*command, "--grid", "box9.grd", *outputs]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            lines = captured.err.splitlines(keepends=True)
+            assert lines[-1] == err  # the same on every run: no temporary name
+            assert len(lines) == (2 if command[0] == "solve" else 1)  # solve's wall-time line
+        assert sorted(os.listdir(box9)) == before
+        assert os.listdir(box9 / "adir") == []
+
+    @pytest.mark.parametrize("report", ["same.out", "./adir/../same.out", "link.out"],
+                             ids=["as-given", "dot-dot", "symlink"])
+    @pytest.mark.parametrize("command", COMMANDS, ids=["solve", "mollify"])
+    def test_output_and_report_naming_one_file_is_refused_first(
+        self, box9, capsys, monkeypatch, command, report
+    ):
+        os.symlink("same.out", "link.out")
+        monkeypatch.setattr(cli, "load_grid", _nothing_is_built)
+        argv = [*command, "--grid", "box9.grd", "--output", "same.out", "--report", report]
+        assert main(argv) == 1
+        err = f"error: --output same.out and --report {report} name the same file\n"
+        assert capsys.readouterr().err == err
+        assert not os.path.lexists("same.out")
+
+    def test_standard_output_comes_after_every_file(self, box9):
+        seen = []
+
+        class Recorder(io.StringIO):
+            def write(self, text):
+                seen.append((text, os.path.exists("o.grd")))
+                return super().write(text)
+
+        with contextlib.redirect_stdout(Recorder()):
+            assert main(["solve", "poisson", "--rhs", "1", "--grid", "box9.grd",
+                         "--output", "o.grd"]) == 0
+        assert "".join(text for text, _ in seen).startswith("operator,iterations,")
+        assert all(written for _, written in seen)
+
+
 class TestDeterminism:
     def test_repeated_runs_byte_identical(self, lap2, saddle_grid, box_grid, tmp_path, capsys):
         def run_all(tag):
@@ -1067,8 +1140,8 @@ class TestCsvEmitter:
         ids=["signed-zero-exponents-ints-strings", "non-finite-and-numpy-scalars", "ragged", "no-rows"],
     )
     def test_rows_match_per_value_format(self, rows, tmp_path):
-        from pardiff.cli import _emit_csv
+        from pardiff.cli import _csv_text
 
         out = tmp_path / "rows.csv"
-        _emit_csv("a,b,c,d", rows, str(out))
+        out.write_text(_csv_text("a,b,c,d", rows), encoding="utf-8")
         assert out.read_bytes() == _per_value_csv("a,b,c,d", rows).encode()

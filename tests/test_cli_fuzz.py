@@ -2,11 +2,14 @@
 
 Whatever the input, ``pardiff.cli.main`` must return 0, 1 or 2, write at
 most one ``error:`` line and no traceback to stderr, leave no ``.pardiff-*``
-temporary file behind, and write no output file when it fails.  Grids and
-probes stay at most 5 nodes per axis and solves at most 200 iterations, so
-every example runs in milliseconds.  ``mollify`` refuses a kernel wider
-than its grid and a normalization quadrature above its point limit before
-building either, so its ``--eps`` and ``--refine`` are fuzzed too.
+temporary file behind, and write neither its output file nor its report when
+it fails.  ``solve`` and ``mollify`` sometimes take ``--report``, about one
+time in eight into a missing directory, which must fail after the result is
+built and still leave no output file.  Grids and probes stay at most 5 nodes
+per axis and solves at most 200 iterations, so every example runs in
+milliseconds.  ``mollify`` refuses a kernel wider than its grid and a
+normalization quadrature above its point limit before building either, so
+its ``--eps`` and ``--refine`` are fuzzed too.
 ``convergence`` builds grids of ``length / h + 1`` nodes per axis, so its
 spacings and lengths come either from boxes of at most 5 nodes per axis or
 from values it refuses before solving: non-positive, non-finite, or above
@@ -111,7 +114,8 @@ def stencil_texts(draw, dim, h):
 
 @st.composite
 def jobs(draw):
-    """A command line over the files ``{grid}``, ``{stencil}`` and output ``{out}``."""
+    """A command line over the files ``{grid}``, ``{stencil}`` and outputs ``{out}``,
+    ``{report}`` or ``{lost}``, a report in a missing directory."""
     h = draw(SPACINGS)
     grid, dim = draw(grid_texts(h))
     stencil_dim = draw(mostly(st.just(dim), st.integers(1, 3)))
@@ -121,6 +125,8 @@ def jobs(draw):
     problem = draw(st.sampled_from(["laplace", "poisson"]))
     with_rhs = problem == "poisson" or draw(mostly(st.just(False), st.just(True)))
     rhs = ["--rhs", draw(EXPRESSIONS)] if with_rhs else []
+    report_path = draw(mostly(st.just("{report}"), st.just("{lost}")))
+    report = draw(st.sampled_from([[], ["--report", report_path]]))
     argv = draw(st.sampled_from([
         ["apply", "--stencil", "{stencil}", "--grid", "{grid}", "--output", "{out}"],
         ["classify", "--stencil", "{stencil}", "--at", *coords],
@@ -128,13 +134,13 @@ def jobs(draw):
          draw(SPACINGS), "--probe-extents", *(draw(SMALL_INTS) for _ in coords),
          "--output", "{out}"],
         ["solve", "laplace", "--grid", "{grid}", f"--boundary={expression}",
-         "--max-iter", "200", "--output", "{out}"],
+         "--max-iter", "200", "--output", "{out}", *report],
         ["solve", "poisson", "--grid", "{grid}", f"--rhs={expression}",
-         "--max-iter", "200", "--output", "{out}"],
+         "--max-iter", "200", "--output", "{out}", *report],
         ["verify", "--grid", "{grid}", "--scaled", f"--rhs={expression}", "--output", "{out}"],
         ["potential", "--source", "{grid}", "--output", "{out}"],
         ["mollify", "--grid", "{grid}", "--eps", draw(NUMBERS), "--refine", draw(SMALL_INTS),
-         "--output", "{out}"],
+         "--output", "{out}", *report],
         ["convergence", "--problem", problem, "--reference", expression, *rhs,
          "--h", *draw(STUDY_SPACINGS),
          "--origin", *draw(STUDY_ORIGINS), "--length", draw(STUDY_LENGTHS), "--max-iter", "200",
@@ -148,7 +154,8 @@ def jobs(draw):
 def test_any_input_keeps_the_cli_contract(job):
     grid_text, stencil_text, argv = job
     with tempfile.TemporaryDirectory() as d:
-        paths = {name: os.path.join(d, name) for name in ("grid", "stencil", "out")}
+        paths = {name: os.path.join(d, name) for name in ("grid", "stencil", "out", "report")}
+        paths["lost"] = os.path.join(d, "missing", "report")
         with open(paths["grid"], "w", encoding="utf-8") as fh:
             fh.write(grid_text)
         with open(paths["stencil"], "w", encoding="utf-8") as fh:
@@ -164,3 +171,5 @@ def test_any_input_keeps_the_cli_contract(job):
         if code != 0:
             assert stderr.splitlines()[-1].startswith("error: ")
             assert not os.path.exists(paths["out"])
+            assert not os.path.exists(paths["report"])
+        assert "{lost}" not in argv or code != 0

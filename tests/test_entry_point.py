@@ -126,3 +126,15 @@ def test_nan_tolerance_is_one_error_line_and_no_output(workdir):
                      "--tol", "nan")
     assert_one_error(result, 1)
     assert not (workdir / "nan.grd").exists()
+
+
+def test_mollify_with_a_report_in_a_missing_directory_writes_nothing(workdir):
+    save_grid(sample("x1*x2", GridSpec((0, 0), 0.25, (9, 9))), str(workdir / "box9.grd"))
+    errors = []
+    for _ in range(2):
+        result = run_cli(workdir, "mollify", "--grid", "box9.grd", "--eps", "0.75",
+                         "--report", "missing/r.csv", "--output", "m.grd")
+        assert_one_error(result, 1)
+        errors.append(result.stderr)
+    assert errors == ["error: [Errno 2] No such file or directory: 'missing/r.csv'\n"] * 2
+    assert os.listdir(workdir) == ["box9.grd"]  # no m.grd and no .pardiff-* temporary

@@ -1,5 +1,6 @@
 import math
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -486,5 +487,52 @@ class TestAtomicWrite:
 
     def test_failed_write_leaves_no_file(self, tmp_path):
         with pytest.raises(UnicodeEncodeError):
-            _atomic_write(str(tmp_path / "u.grd"), "1\n\ud800\n")  # a lone surrogate
+            _atomic_write([(str(tmp_path / "u.grd"), "1\n\ud800\n")])  # a lone surrogate
         assert os.listdir(tmp_path) == []
+
+
+class TestAtomicWriteOfSeveralFiles:
+    def test_every_target_is_written(self, tmp_path):
+        (tmp_path / "a.txt").write_text("old\n")
+        _atomic_write([(str(tmp_path / "a.txt"), "a\n"), (str(tmp_path / "b.txt"), "b\n")])
+        assert (tmp_path / "a.txt").read_text() == "a\n"
+        assert (tmp_path / "b.txt").read_text() == "b\n"
+        assert sorted(os.listdir(tmp_path)) == ["a.txt", "b.txt"]
+
+    def test_a_failed_write_changes_no_target(self, tmp_path):
+        (tmp_path / "a.txt").write_text("old\n")
+        with pytest.raises(UnicodeEncodeError):
+            _atomic_write([(str(tmp_path / "a.txt"), "new\n"),
+                           (str(tmp_path / "b.txt"), "\ud800\n")])  # a lone surrogate
+        assert (tmp_path / "a.txt").read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["a.txt"]
+
+    def test_a_failed_open_names_the_target_as_given(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(FileNotFoundError) as info:
+            _atomic_write([("a.txt", "a\n"), ("missing/b.txt", "b\n")])
+        assert str(info.value) == "[Errno 2] No such file or directory: 'missing/b.txt'"
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize(
+        "path, error",
+        [("", "[Errno 2] No such file or directory: ''"),
+         ("adir", "[Errno 21] Is a directory: 'adir'"),
+         ("afile/b.txt", "[Errno 20] Not a directory: 'afile/b.txt'")],
+        ids=["empty", "directory", "under-a-file"],
+    )
+    def test_a_target_that_cannot_be_a_file_is_refused_before_staging(
+        self, tmp_path, monkeypatch, path, error
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "adir").mkdir()
+        (tmp_path / "afile").write_text("x\n")
+
+        def no_staging(*args, **kwargs):
+            raise AssertionError("a temporary was named")
+
+        monkeypatch.setattr(grid_module, "tempfile", SimpleNamespace(mktemp=no_staging))
+        with pytest.raises(OSError) as info:
+            _atomic_write([("a.txt", "a\n"), (path, "b\n")])
+        assert str(info.value) == error
+        assert sorted(os.listdir(tmp_path)) == ["adir", "afile"]
