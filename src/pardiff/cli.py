@@ -45,10 +45,6 @@ from .stencil import biharmonic_stencil, laplace_stencil, load_stencil, residual
 
 __all__ = ["main"]
 
-# Options whose value is an expression, which may start with "-".
-_EXPRESSION_OPTIONS = ("--boundary", "--rhs", "--lap-boundary", "--reference")
-# Options whose values are coordinates, which may be negative in any spelling float() takes.
-_COORDINATE_OPTIONS = ("--at", "--probe-origin", "--origin")
 # What a command returns: (file, or None for standard output; its text) pairs, written by main.
 Outputs = list[tuple[str | None, str]]
 
@@ -62,6 +58,9 @@ class _NumericalFailure(Exception):
 
 
 class _ArgumentParser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):  # one spelling per option, each seen by _mark_option_values
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):  # exit code 1 instead of argparse's 2
         raise _UsageError(message)
 
@@ -268,31 +267,42 @@ def _is_float(token: str) -> bool:
     return True
 
 
-def _mark_option_values(argv: Iterable[str]) -> Iterator[str]:
-    """Rewrite option values that start with "-" so that argparse takes them as values.
+def _mark_option_values(argv: Iterable[str], parser: argparse.ArgumentParser) -> Iterator[str]:
+    """Rewrite ``argv`` so that ``parser`` takes every option value as a value.
 
-    ``--rhs VALUE`` becomes ``--rhs=VALUE``.  After a coordinate option, a
-    number that starts with "-" gains a leading space, which ``float()``
-    ignores: argparse takes only some spellings of a negative number as a
-    value (``-1.5`` but not ``-1e-05`` or ``-inf`` on Python 3.11), and which
-    ones depends on the Python version, while it takes any token that does not
-    start with "-" as a value.
+    An option that takes one value takes the next argument, whatever it starts
+    with: ``--tol -1e-05`` becomes ``--tol=-1e-05``.  In a list of numbers, one
+    that starts with "-" gains a leading space, which ``float()`` and ``int()``
+    ignore.  argparse alone takes only some negative spellings as values
+    (``-1.5`` but not ``-1e-05`` on Python 3.11), and which ones depends on the
+    Python version.  From the first ``--`` on, arguments pass unchanged.
     """
-    tokens = iter(argv)
-    coordinates = False
+    # each option of every command and its nargs: 0 a flag, None one value, "+" numbers
+    parsers, nargs = [parser], {}
+    for command in parsers:  # grows by each command's parser
+        for action in command._actions:
+            nargs.update(dict.fromkeys(action.option_strings, action.nargs))
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+    argv = list(argv)
+    end = argv.index("--") if "--" in argv else len(argv)
+    tokens = iter(argv[:end])
+    numbers = False
     for token in tokens:
-        if coordinates and _is_float(token):
+        if numbers and _is_float(token):
             yield " " + token if token.startswith("-") else token
             continue
-        coordinates = token in _COORDINATE_OPTIONS
-        value = next(tokens, None) if token in _EXPRESSION_OPTIONS else None
+        numbers = nargs.get(token) == "+"
+        value = next(tokens, None) if nargs.get(token, 0) is None else None
         yield token if value is None else f"{token}={value}"
+    yield from argv[end:]
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(_mark_option_values(sys.argv[1:] if argv is None else argv))
+        args = parser.parse_args(_mark_option_values(argv, parser))
         report = vars(args).get("report")
         if report is not None and os.path.realpath(report) == os.path.realpath(args.output):
             raise _UsageError(f"--output {args.output} and --report {report} name the same file")

@@ -13,10 +13,11 @@ Grammar (precedence lowest to highest):
     atom   := NUMBER | 'x'K | NAME '(' expr ')' | '(' expr ')'
 
 Variables are ``x1``, ``x2``, ... (1-based).  Functions: exp, ln, sin, cos,
-sqrt, abs.  Whitespace is insignificant.  There is no implicit
-multiplication: ``2x1`` is a syntax error.  Numeric literals must be finite
-(``1e999`` is a syntax error), and so is an expression nested more than 100
-levels deep.
+sqrt, abs.  A token is an operator, a decimal number or a name that starts
+with a letter or ``_``; whitespace between tokens is insignificant, and any
+other character is a syntax error.  There is no implicit multiplication:
+``2x1`` is a syntax error.  Numeric literals must be finite (``1e999`` is a
+syntax error), and so is an expression nested more than 100 levels deep.
 """
 
 from __future__ import annotations
@@ -134,34 +135,21 @@ _MAX_DEPTH = 100
 
 _NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 _VAR_RE = re.compile(r"x(\d+)\Z")
+# A token is an operator, a number, or any other character with the word
+# characters after it, which is an identifier if it starts with a letter or "_".
+# re's \s is str.isspace and its \w is str.isalnum plus "_", so finditer skips
+# whitespace alone; \w also takes digits such as "²" that \d, and so a number, does not.
+_TOKEN_RE = re.compile(rf"(?P<op>[-+*/^()])|(?P<number>{_NUMBER_RE.pattern})|(?P<ident>\S\w*)")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens: list[tuple[str, str, int]] = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in "+-*/^()":
-            tokens.append((c, c, i))
-            i += 1
-            continue
-        m = _NUMBER_RE.match(text, i)
-        if m is not None:
-            tokens.append(("number", m.group(), i))
-            i = m.end()
-            continue
-        if c.isalpha() or c == "_":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("ident", text[i:j], i))
-            i = j
-            continue
-        raise ExprSyntaxError(f"unexpected character {c!r}", i)
-    tokens.append(("end", "", n))
+    for m in _TOKEN_RE.finditer(text):
+        kind, value, offset = m.lastgroup, m.group(), m.start()
+        if kind == "ident" and not (value[0].isalpha() or value[0] == "_"):
+            raise ExprSyntaxError(f"unexpected character {value[0]!r}", offset)
+        tokens.append((value if kind == "op" else kind, value, offset))
+    tokens.append(("end", "", len(text)))
     return tokens
 
 

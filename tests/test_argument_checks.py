@@ -3,6 +3,8 @@
 Lengths, spacings and radii must be positive and finite, point coordinates
 finite and the maximum-principle tolerance nonnegative.  Every refusal is a
 ``ValueError`` raised before any work, with no ``RuntimeWarning`` on the way.
+Shapes, counts and dimensions that do not fit together are refused the same
+way.
 """
 
 import math
@@ -12,16 +14,21 @@ import warnings
 import numpy as np
 import pytest
 
+from pardiff.classify import CoefficientMatrix, eigen_symmetric
 from pardiff.cli import main
 from pardiff.elliptic import (
     FundamentalSolution,
+    convergence_study,
     harmonicity_residual,
     max_principle_check,
     mean_value_check,
+    newtonian_potential,
+    solve_laplace_dirichlet,
 )
-from pardiff.grid import GridFunction, GridSpec, sample, save_grid
-from pardiff.mollify import l1_convergence, make_mollifier
-from pardiff.stencil import Stencil
+from pardiff.expr import evaluate_arrays, parse
+from pardiff.grid import GridFunction, GridSpec, restrict, sample, save_grid, shrink
+from pardiff.mollify import convolve, l1_convergence, make_mollifier
+from pardiff.stencil import Stencil, laplace_stencil, mixed_difference
 
 GRID = GridSpec((0.0, 0.0), 0.125, (9, 9))
 X1 = sample("x1", GRID)
@@ -66,6 +73,69 @@ CASES = [
     )
     for v in (math.nan, -1.0)
 ]
+
+# Refusals of arguments whose shapes, counts or dimensions do not fit: (id, message, call).
+LINE = GridSpec((0.0,), 0.125, (9,))
+MISFITS = [
+    ("CoefficientMatrix-shape", "entries must be 2x2, got (3,)",
+     lambda: CoefficientMatrix(2, np.zeros(3), (0.0, 0.0))),
+    ("eigen_symmetric-not-square", "expected a square matrix, got shape (2, 3)",
+     lambda: eigen_symmetric(np.zeros((2, 3)))),
+    ("FundamentalSolution-dim", "fundamental solutions need dimension >= 2, got 1",
+     lambda: FundamentalSolution(1)),
+    ("cell_average-subdivisions", "cell averaging needs at least 2 subdivisions per axis",
+     lambda: FundamentalSolution(2).cell_average(0.125, subdivisions=1)),
+    ("newtonian_potential-dimension",
+     "source and target dimensions must match the kernel dimension",
+     lambda: newtonian_potential(FundamentalSolution(3), X1, GRID)),
+    ("max_iter", "max_iter must be at least 1, got 0",
+     lambda: solve_laplace_dirichlet(X1, 1e-10, 0)),
+    ("interpolate-one-node-axis",
+     "sphere of radius 0.25 exits the grid: interpolation needs at least 2 nodes per axis",
+     lambda: mean_value_check(sample("x1", GridSpec((0.0, 0.0), 0.125, (1, 9))), (0, 0.5), 0.25)),
+    ("mean_value_check-num_points", "need at least one sphere point",
+     lambda: mean_value_check(X1, (0.5, 0.5), 0.25, num_points=0)),
+    ("mean_value_check-center", "center dimension does not match the grid",
+     lambda: mean_value_check(X1, (0.5,), 0.25)),
+    ("harmonicity_residual-lengths", "origin and lengths must have one entry per axis",
+     lambda: harmonicity_residual("x1", (0, 0), (1,), [0.5])),
+    ("harmonicity_residual-h_list", "h_list must not be empty",
+     lambda: harmonicity_residual("x1", (0, 0), (1, 1), [])),
+    ("convergence_study-spacings", "spacings must be strictly decreasing",
+     lambda: convergence_study("laplace", "x1", None, (0, 0), 1.0, [0.25, 0.5])),
+    ("evaluate_arrays-no-arrays", "evaluate_arrays needs at least one coordinate array",
+     lambda: evaluate_arrays(parse("1"), [])),
+    ("shrink-margins", "need one (low, high) margin pair per axis, got 1",
+     lambda: shrink(X1, [(1, 1)])),
+    ("shrink-negative-margin", "margins must be nonnegative, got ((1, 1), (-1, 0))",
+     lambda: shrink(X1, [(1, 1), (-1, 0)])),
+    ("restrict-dimension", "incompatible specs: dimensions differ", lambda: restrict(X1, LINE)),
+    ("make_mollifier-dim", "dimension must be at least 1, got 0",
+     lambda: make_mollifier(0, 0.5, 0.125)),
+    ("convolve-dimension", "kernel dimension 1 does not match grid 2",
+     lambda: convolve(X1, make_mollifier(1, 0.5, 0.125))),
+    ("l1_convergence-empty", "eps_list must not be empty", lambda: l1_convergence(X1, [])),
+    ("Stencil-scale", "scale exponent must be nonnegative, got -1",
+     lambda: Stencil(1, 0.5, (((1,), 1.0),), scale_exp=-1)),
+    ("Stencil-no-terms", "a stencil needs at least one term", lambda: Stencil(1, 0.5, ())),
+    ("Stencil-shift-dimension", "shift (1, 0) does not have dimension 1",
+     lambda: Stencil(1, 0.5, (((1, 0), 1.0),))),
+    ("Stencil.apply-dimension", "stencil dimension 1 does not match grid 2",
+     lambda: laplace_stencil(1, 0.125).apply(X1)),
+    ("mixed_difference-orders", "need one order per axis, got 1 for dimension 2",
+     lambda: mixed_difference(2, [1], 0.5)),
+    ("mixed_difference-negative", "orders must be nonnegative, got (2, -1)",
+     lambda: mixed_difference(2, [2, -1], 0.5)),
+]
+
+
+@pytest.mark.parametrize("message, call", [pytest.param(m, c, id=i) for i, m, c in MISFITS])
+def test_misfit_refused_with_one_message(message, call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as err:
+            call()
+    assert (type(err.value), str(err.value)) == (ValueError, message)
 
 
 @pytest.mark.parametrize("message, call, value", CASES)

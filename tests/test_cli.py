@@ -1,8 +1,12 @@
+import argparse
 import contextlib
 import io
+import math
 import os
 import re
+import shlex
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -502,10 +506,12 @@ class TestRefusedBeforeAnythingIsBuilt:
             (["classify", "--at", "0", "0", *PROBE[5:]], NO_PROBE),
             (["classify", "--at", "0", "0", *PROBE], NO_PROBE),
             (["classify"], NO_PROBE),
+            (["solve", "laplace", "--bound", "-x1"],
+             "error: unrecognized arguments: --bound -x1\n"),
         ],
         ids=["laplace-rhs", "laplace-rhs-grid", "poisson-lap-boundary", "biharmonic-no-lap-boundary",
              "rhs-and-rhs-grid", "at-probe-origin", "at-probe-h", "at-probe-extents", "at-probe",
-             "no-points"],
+             "no-points", "abbreviated-option"],
     )
     def test_one_error_line_no_output(self, tmp_path, capsys, monkeypatch, argv, err):
         for name in ("load_grid", "sample", "load_stencil"):
@@ -910,6 +916,117 @@ class TestNegativeCoordinateSpellings:
     def test_non_number_after_a_coordinate_list_is_not_taken(self, lap2, capsys):
         assert main(["classify", "--stencil", lap2, "--at", "-1e-05", "0", "-x"]) == 1
         assert capsys.readouterr().err == "error: unrecognized arguments: -x\n"
+
+
+# Each numeric option in a command that takes it, the type it reads, and pardiff's own
+# error line for a negative value, or None where a finite negative value is valid.
+SOLVE_BOX = ["solve", "laplace", "--grid", "{grid}", "--output", "{out}"]
+MOLLIFY_BOX = ["mollify", "--grid", "{grid}", "--output", "{out}"]
+STUDY = ["convergence", "--problem", "laplace", "--reference", "x1*x2", "--max-iter", "200"]
+PROBE_AT = ["classify", "--stencil", "{stencil}", "--probe-origin", "0", "0"]
+NUMERIC_OPTIONS = {
+    "--tol": (SOLVE_BOX + ["--tol", "{v}"], float, "tolerance must be positive, got {}"),
+    "--max-iter": (SOLVE_BOX + ["--max-iter", "{v}"], int, "max_iter must be at least 1, got {}"),
+    "--eps": (MOLLIFY_BOX + ["--eps", "{v}"], float,
+              "support radius must be positive and finite, got {}"),
+    "--refine": (MOLLIFY_BOX + ["--eps", "0.125", "--refine", "{v}"], int,
+                 "refine must be at least 1, got {}"),
+    "--length": (STUDY + ["--h", "0.5", "0.25", "--origin", "0", "0", "--length", "{v}"], float,
+                 "box length must be positive and finite, got {}"),
+    "--h": (STUDY + ["--h", "0.5", "{v}", "--origin", "0", "0", "--length", "1"], float,
+            "spacing must be positive and finite, got {}"),
+    "--origin": (STUDY + ["--h", "0.5", "0.25", "--origin", "{v}", "0", "--length", "1"], float,
+                 None),
+    "--probe-h": (PROBE_AT + ["--probe-h", "{v}", "--probe-extents", "1", "1"], float,
+                  "grid spacing must be positive and finite, got {}"),
+    "--probe-extents": (PROBE_AT + ["--probe-h", "1", "--probe-extents", "1", "{v}"], int,
+                        "every extent must be at least 1, got (1, {})"),
+    "--probe-origin": (["classify", "--stencil", "{stencil}", "--probe-origin", "0", "{v}",
+                        "--probe-h", "1", "--probe-extents", "1", "1"], float, None),
+    "--at": (["classify", "--stencil", "{stencil}", "--at", "{v}", "0"], float, None),
+}
+LIST_OPTIONS = {"--at", "--probe-origin", "--probe-extents", "--origin", "--h"}
+
+
+def _readme_commands():
+    """Each ``pardiff`` command of the README's command-line example, split as a shell would."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0].replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("pardiff ")]
+
+
+class TestOptionValues:
+    """A one-value option takes the next argument, a list option numbers in any spelling."""
+
+    @pytest.mark.parametrize("value", ["-1.5", "-1e-05", "-1E-05", "-inf", "-1_0"])
+    @pytest.mark.parametrize("option", list(NUMERIC_OPTIONS))
+    def test_every_negative_spelling_reaches_pardiff(self, lap2, box_grid, tmp_path, capsys,
+                                                     option, value):
+        argv, kind, message = NUMERIC_OPTIONS[option]
+        out = tmp_path / "out"
+        code = main([a.format(v=value, grid=box_grid, out=out, stencil=lap2) for a in argv])
+        err = capsys.readouterr().err
+        assert "expected one argument" not in err and "expected at least one argument" not in err
+        try:
+            number = kind(value)
+        except ValueError:  # int() refuses it, and so does argparse
+            assert code == 1 and err.startswith(f"error: argument {option}: invalid int value: ")
+            assert err.count("\n") == 1
+            return
+        if message is not None:
+            assert (code, err) == (1, f"error: {message.format(number)}\n")
+        elif math.isfinite(number):
+            assert (code, err) == (0, "")
+        else:
+            assert code == 1 and err.startswith("error: grid nodes must be finite: ")
+            assert err.count("\n") == 1
+
+    def test_each_option_has_one_kind_in_every_command(self):
+        parser = cli._build_parser()
+        (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        kinds = {}
+        for command in commands.choices.values():
+            for action in command._actions:
+                for option in action.option_strings:
+                    kinds.setdefault(option, set()).add((action.nargs, action.type))
+        assert all(len(k) == 1 for k in kinds.values())  # _mark_option_values reads one per option
+        kinds = {option: k.pop() for option, k in kinds.items()}
+        assert {o for o, (nargs, _) in kinds.items() if nargs == "+"} == LIST_OPTIONS
+        assert {o for o, (_, kind) in kinds.items() if kind in (float, int)} == set(NUMERIC_OPTIONS)
+
+    def test_output_may_start_with_a_minus(self, box_grid, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["solve", "laplace", "--grid", box_grid, "--output", "-o.grd"]) == 0
+        assert capsys.readouterr().err.startswith("solve laplace: ")
+        assert (tmp_path / "-o.grd").stat().st_size > 0
+
+    def test_options_are_spelled_in_full(self, box_grid, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["solve", "laplace", "--grid", box_grid, "--out", "o.grd"]) == 1
+        assert capsys.readouterr().err == "error: the following arguments are required: --output\n"
+        assert os.listdir(tmp_path) == ["box.grd"]
+
+    def test_double_dash_ends_the_options(self, box_grid, tmp_path, capsys):
+        out = tmp_path / "o.grd"
+        argv = ["solve", "poisson", "--grid", box_grid, "--output", str(out), "--rhs", "--"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: argument --rhs: expected one argument\n"
+        assert not out.exists()
+        parser = cli._build_parser()
+        marked = cli._mark_option_values(["--tol", "-1", "--", "--tol", "-1"], parser)
+        assert list(marked) == ["--tol=-1", "--", "--tol", "-1"]
+
+    @pytest.mark.parametrize("argv", _readme_commands(), ids=lambda argv: argv[0])
+    def test_readme_command_parses(self, argv):
+        parser = cli._build_parser()
+        args = parser.parse_args(list(cli._mark_option_values(argv, parser)))
+        assert args.command == argv[0]
+
+    def test_readme_shows_every_command(self):
+        assert {argv[0] for argv in _readme_commands()} == {
+            "classify", "apply", "solve", "mollify", "potential", "verify", "convergence"
+        }
 
 
 class TestNodeLimit:

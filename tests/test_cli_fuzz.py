@@ -9,7 +9,13 @@ built and still leave no output file.  Grids and probes stay at most 5 nodes
 per axis and solves at most 200 iterations, so every example runs in
 milliseconds.  ``mollify`` refuses a kernel wider than its grid and a
 normalization quadrature above its point limit before building either, so
-its ``--eps`` and ``--refine`` are fuzzed too.
+its ``--eps`` and ``--refine`` are fuzzed too.  Half the grids are
+well-formed boxes of 5 nodes per axis, and on those ``--eps`` is mostly twice
+the spacing, so that ``mollify`` often succeeds and reaches its write step.
+The one-value numeric options ``--tol``, ``--eps``, ``--length``,
+``--probe-h``, ``--max-iter`` and ``--refine`` also take negative numbers in
+exponent form and other spellings that argparse alone reads as options, and
+no run may end in argparse's ``expected one argument``.
 ``convergence`` builds grids of ``length / h + 1`` nodes per axis, so its
 spacings and lengths come either from boxes of at most 5 nodes per axis or
 from values it refuses before solving: non-positive, non-finite, or above
@@ -60,6 +66,8 @@ STUDY_ORIGINS = st.lists(st.sampled_from(["0", "1", "-1", "0.5", "-0.0", "-1e-05
                          min_size=1, max_size=3)
 SMALL_INTS = mostly(st.sampled_from(["1", "2", "3", "4", "5"]),
                     st.sampled_from(["0", "-1", "2.5", "x"]))
+# Spellings of negative numbers, of which argparse alone takes some for options.
+NEGATIVE = st.sampled_from(["-1e-05", "-1E-05", "-2.5e+3", "-1.5", "-inf", "-1_0"])
 
 FRAGMENTS = st.sampled_from(
     ["x1", "x2", "x3", "x4", "1", "0", "2.5", "1e308", "1e-300", "+", "-", "*", "/", "^",
@@ -98,7 +106,16 @@ def grid_texts(draw, h):
         "extents " + " ".join(str(e) for e in extents),
         *values,
     ]
-    return "\n".join(lines) + "\n", dim
+    return "\n".join(lines) + "\n", extents
+
+
+@st.composite
+def box_texts(draw, h):
+    """A well-formed grid file of 5 nodes per axis, which a mollifier of radius 2h fits."""
+    dim = draw(st.integers(1, 3))
+    values = [draw(FINITE) for _ in range(5**dim)]
+    lines = [f"dim {dim}", "origin" + " 0" * dim, f"h {h}", "extents" + " 5" * dim, *values]
+    return "\n".join(lines) + "\n", [5] * dim
 
 
 @st.composite
@@ -117,7 +134,8 @@ def jobs(draw):
     """A command line over the files ``{grid}``, ``{stencil}`` and outputs ``{out}``,
     ``{report}`` or ``{lost}``, a report in a missing directory."""
     h = draw(SPACINGS)
-    grid, dim = draw(grid_texts(h))
+    grid, extents = draw(st.one_of(grid_texts(h), box_texts(h)))
+    dim = len(extents)
     stencil_dim = draw(mostly(st.just(dim), st.integers(1, 3)))
     stencil = draw(stencil_texts(stencil_dim, draw(mostly(st.just(h), SPACINGS))))
     expression = draw(EXPRESSIONS)
@@ -127,24 +145,32 @@ def jobs(draw):
     rhs = ["--rhs", draw(EXPRESSIONS)] if with_rhs else []
     report_path = draw(mostly(st.just("{report}"), st.just("{lost}")))
     report = draw(st.sampled_from([[], ["--report", report_path]]))
+    # a mollifier of radius 2h fits 5 nodes per axis; one of radius h is too coarse (exit 2)
+    eps = st.one_of(NUMBERS, NEGATIVE)
+    if h in ("0.25", "0.5", "1") and min(extents) >= 5:
+        eps = mostly(st.just(repr(2 * float(h))), st.one_of(st.just(h), eps))
+    eps = draw(eps)
+    tol = draw(mostly(st.just("1e-10"), NEGATIVE))
+    max_iter = draw(mostly(st.just("200"), NEGATIVE))
     argv = draw(st.sampled_from([
         ["apply", "--stencil", "{stencil}", "--grid", "{grid}", "--output", "{out}"],
         ["classify", "--stencil", "{stencil}", "--at", *coords],
-        ["classify", "--stencil", "{stencil}", "--probe-origin", *coords, "--probe-h",
-         draw(SPACINGS), "--probe-extents", *(draw(SMALL_INTS) for _ in coords),
+        ["classify", "--stencil", "{stencil}", "--probe-origin", *coords,
+         "--probe-h", draw(mostly(SPACINGS, NEGATIVE)),
+         "--probe-extents", *(draw(SMALL_INTS) for _ in coords),
          "--output", "{out}"],
         ["solve", "laplace", "--grid", "{grid}", f"--boundary={expression}",
-         "--max-iter", "200", "--output", "{out}", *report],
+         "--tol", tol, "--max-iter", max_iter, "--output", "{out}", *report],
         ["solve", "poisson", "--grid", "{grid}", f"--rhs={expression}",
-         "--max-iter", "200", "--output", "{out}", *report],
+         "--tol", tol, "--max-iter", max_iter, "--output", "{out}", *report],
         ["verify", "--grid", "{grid}", "--scaled", f"--rhs={expression}", "--output", "{out}"],
         ["potential", "--source", "{grid}", "--output", "{out}"],
-        ["mollify", "--grid", "{grid}", "--eps", draw(NUMBERS), "--refine", draw(SMALL_INTS),
-         "--output", "{out}", *report],
+        ["mollify", "--grid", "{grid}", "--eps", eps, "--refine",
+         draw(mostly(SMALL_INTS, NEGATIVE)), "--output", "{out}", *report],
         ["convergence", "--problem", problem, "--reference", expression, *rhs,
          "--h", *draw(STUDY_SPACINGS),
-         "--origin", *draw(STUDY_ORIGINS), "--length", draw(STUDY_LENGTHS), "--max-iter", "200",
-         "--output", "{out}"],
+         "--origin", *draw(STUDY_ORIGINS), "--length", draw(mostly(STUDY_LENGTHS, NEGATIVE)),
+         "--tol", tol, "--max-iter", max_iter, "--output", "{out}"],
     ]))
     return grid, stencil, argv
 
@@ -166,6 +192,7 @@ def test_any_input_keeps_the_cli_contract(job):
         stderr = err.getvalue()
         assert code in (0, 1, 2)
         assert "Traceback" not in stderr
+        assert "expected one argument" not in stderr
         assert sum(line.startswith("error:") for line in stderr.splitlines()) <= 1
         assert not [f for f in os.listdir(d) if f.startswith(".pardiff-")]
         if code != 0:

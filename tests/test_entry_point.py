@@ -138,3 +138,23 @@ def test_mollify_with_a_report_in_a_missing_directory_writes_nothing(workdir):
         errors.append(result.stderr)
     assert errors == ["error: [Errno 2] No such file or directory: 'missing/r.csv'\n"] * 2
     assert os.listdir(workdir) == ["box9.grd"]  # no m.grd and no .pardiff-* temporary
+
+
+def test_negative_tolerance_in_exponent_form_reaches_the_tolerance_check(workdir):
+    g = sample("x1*x2", GridSpec((0, 0), 0.25, (5, 5)))
+    save_grid(g, str(workdir / "box.grd"))
+    errors = []
+    for _ in range(2):
+        result = run_cli(workdir, "solve", "laplace", "--grid", "box.grd", "--output", "neg.grd",
+                         "--tol", "-1e-05")
+        assert_one_error(result, 1)
+        errors.append(result.stderr)
+    assert errors == ["error: tolerance must be positive, got -1e-05\n"] * 2
+    assert not (workdir / "neg.grd").exists()
+
+
+def test_an_abbreviated_option_is_one_error_line(workdir):
+    save_grid(sample("x1*x2", GridSpec((0, 0), 0.25, (5, 5))), str(workdir / "box.grd"))
+    result = run_cli(workdir, "solve", "laplace", "--grid", "box.grd", "--out", "o.grd")
+    assert_one_error(result, 1)
+    assert os.listdir(workdir) == ["box.grd"]

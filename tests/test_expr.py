@@ -192,6 +192,8 @@ ROUND_TRIP_CASES = [
     "-(x1*x2)",
     "2 - -x1",
     "sqrt(abs(x1))*ln(x2)/cos(x3)",
+    "x1^(1+x2)",
+    "(x1 - 1)^2",
 ]
 
 
@@ -327,7 +329,7 @@ def outcome(run, text):
 READER_CASES = [
     ".5", "5.", "1.e5", ".e5", "1e", "e5", "x01", "_a", "٣", "x١", "x1\t+\t2", "\tx1\t",
     "1.5.2", "x1 + .5e-3*x2", "2x1", "x1^2^-3", "sin(x1)*ln(2)/-x2", "1 - - 1", "(x1",
-    "x1)", "", "  ", "1e999", "x0", "foo(1)", "sin x1", "x1 $ 2", "٣.٥e٢", "x²", "½",
+    "x1)", "sin(x1", "", "  ", "1e999", "x0", "foo(1)", "sin x1", "x1 $ 2", "٣.٥e٢", "x²", "½",
     "(" * 101 + "x1" + ")" * 101, "+".join(["x1"] * 102), "*".join(["x1"] * 102),
     "-".join(["x1"] * 50) + "*" + "/".join(["x1"] * 60), "x1^" * 101 + "x1",
 ]

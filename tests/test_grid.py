@@ -357,6 +357,7 @@ GRID_FILES = {
     "empty": b"",
     "bad-dimension": b"dim 0\norigin 0\nh 1\nextents 1\n0\n",
     "bad-header": b"dim 2\norigin 0\nh 1\nextents 1 1\n0\n",
+    "wrong-header-key": b"dim 2\norigin 0 -1\nspacing 0.5\nextents 2 3\n" + lines(VALUES),
 }
 
 # The files that are not valid UTF-8: the offset in the file of the first

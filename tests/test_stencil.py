@@ -527,6 +527,9 @@ STENCIL_FILES = {
     "comment-lines": "# op\ndim 1\n# spacing\n" + HEAD + "term 1  1\n  # between\nterm 0  -1\n",
     "unicode-spaces": "dim 2\n" + HEAD + "term\u20031\u00a00\u2003 1\x85\n",
     "header-only": "dim 1\n" + HEAD,
+    "h-not-a-number": "dim 1\nh x\nscale 2\nterm 0  1\n",
+    "scale-not-an-integer": "dim 1\nh 0.5\nscale 1.5\nterm 0  1\n",
+    "wrong-header-key": "dim 1\nspacing 0.5\nscale 2\nterm 0  1\n",
 }
 
 
