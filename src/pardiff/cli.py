@@ -8,6 +8,11 @@ byte-identical output.  Each command returns its outputs and ``main`` writes
 all of its files or none, through ``grid._atomic_write``, and then standard
 output; an error names the target path as given.
 
+An argument is an option only when it is spelled as one of its command's
+options, alone or as ``--name=value``; every other argument is a value,
+whatever it starts with (``--tol -1e-05``, ``--at -1 -2.5E+3``), and an
+abbreviation such as ``--out`` is not an option.
+
 Exit codes: 0 success, 1 input or parse error, 2 numerical failure
 (non-convergence, coefficient evaluation failure or floating-point overflow)
 or running out of memory.
@@ -21,7 +26,7 @@ import argparse
 import os
 import sys
 import time
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -58,11 +63,15 @@ class _NumericalFailure(Exception):
 
 
 class _ArgumentParser(argparse.ArgumentParser):
-    def __init__(self, **kwargs):  # one spelling per option, each seen by _mark_option_values
-        super().__init__(allow_abbrev=False, **kwargs)
-
     def error(self, message):  # exit code 1 instead of argparse's 2
         raise _UsageError(message)
+
+    def _parse_optional(self, arg_string):
+        # None makes the argument a value (see the module docstring); a declared option
+        # goes on to argparse's own code, whose return shape differs between Python versions
+        if arg_string.split("=", 1)[0] not in self._option_string_actions:
+            return None
+        return super()._parse_optional(arg_string)
 
 
 def _csv_text(header: str, rows: Iterable[Sequence]) -> str:
@@ -133,7 +142,7 @@ def _cmd_solve(args) -> Outputs:
     if not report.converged:
         raise _NumericalFailure(
             f"solve {args.operator} did not converge within {args.max_iter} iterations "
-            f"(best residual {report.final_residual:.3e})"
+            f"(final residual {report.final_residual:.3e})"
         )
     row = [args.operator, report.iterations, report.final_residual, "true"]
     csv = _csv_text("operator,iterations,final_residual,converged", [row])
@@ -259,50 +268,10 @@ def _build_parser() -> _ArgumentParser:
     return parser
 
 
-def _is_float(token: str) -> bool:
-    try:
-        float(token)
-    except ValueError:
-        return False
-    return True
-
-
-def _mark_option_values(argv: Iterable[str], parser: argparse.ArgumentParser) -> Iterator[str]:
-    """Rewrite ``argv`` so that ``parser`` takes every option value as a value.
-
-    An option that takes one value takes the next argument, whatever it starts
-    with: ``--tol -1e-05`` becomes ``--tol=-1e-05``.  In a list of numbers, one
-    that starts with "-" gains a leading space, which ``float()`` and ``int()``
-    ignore.  argparse alone takes only some negative spellings as values
-    (``-1.5`` but not ``-1e-05`` on Python 3.11), and which ones depends on the
-    Python version.  From the first ``--`` on, arguments pass unchanged.
-    """
-    # each option of every command and its nargs: 0 a flag, None one value, "+" numbers
-    parsers, nargs = [parser], {}
-    for command in parsers:  # grows by each command's parser
-        for action in command._actions:
-            nargs.update(dict.fromkeys(action.option_strings, action.nargs))
-            if isinstance(action, argparse._SubParsersAction):
-                parsers.extend(action.choices.values())
-    argv = list(argv)
-    end = argv.index("--") if "--" in argv else len(argv)
-    tokens = iter(argv[:end])
-    numbers = False
-    for token in tokens:
-        if numbers and _is_float(token):
-            yield " " + token if token.startswith("-") else token
-            continue
-        numbers = nargs.get(token) == "+"
-        value = next(tokens, None) if nargs.get(token, 0) is None else None
-        yield token if value is None else f"{token}={value}"
-    yield from argv[end:]
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(_mark_option_values(argv, parser))
+        args = parser.parse_args(argv)
         report = vars(args).get("report")
         if report is not None and os.path.realpath(report) == os.path.realpath(args.output):
             raise _UsageError(f"--output {args.output} and --report {report} name the same file")

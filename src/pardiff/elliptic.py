@@ -358,7 +358,7 @@ def _sor_dirichlet(
     two_n, w, keep = np.array(2.0 * n), np.array(omega), np.array(1.0 - omega)
 
     iterations = 0
-    best = math.inf
+    residual = math.inf
     with np.errstate(over="ignore", invalid="ignore"):
         red.neighbor_sum()
         for iterations in range(1, max_iter + 1):
@@ -369,15 +369,15 @@ def _sor_dirichlet(
             largest = (red.residual(two_n), black.residual(two_n))
             if not all(map(math.isfinite, largest)):
                 raise OverflowError(f"SOR sweep overflows at iteration {iterations}")
-            best = max(largest) * residual_scale
-            if best <= tol:
+            residual = max(largest) * residual_scale
+            if residual <= tol:
                 break
     flat[0::2], flat[1::2] = halves
     return SolveReport(
         solution=GridFunction(spec, u[grid]),
         iterations=iterations,
-        final_residual=best,
-        converged=best <= tol,
+        final_residual=residual,
+        converged=residual <= tol,
     )
 
 
@@ -526,11 +526,9 @@ def solve_biharmonic(
 
 
 def _interpolate(u: GridFunction, points: np.ndarray) -> np.ndarray:
-    """Multilinear interpolation at arbitrary in-hull points, shape (m, dim)."""
+    """Multilinear interpolation at in-hull points, shape (m, dim), on 2 or more nodes per axis."""
     spec = u.spec
     n = spec.dim
-    if any(e < 2 for e in spec.extents):
-        raise ValueError("interpolation needs at least 2 nodes per axis")
     with np.errstate(over="ignore"):  # a t beyond the float range is outside the grid
         t = (points - np.asarray(spec.origin)) / spec.h
     upper = np.asarray(spec.extents) - 1
@@ -583,6 +581,9 @@ def mean_value_check(
     center_arr = np.asarray(center, dtype=float).reshape(1, -1)
     if center_arr.shape[1] != u.spec.dim:
         raise ValueError("center dimension does not match the grid")
+    # checked here, so that the exits-the-grid error below is only about points
+    if any(e < 2 for e in u.spec.extents):
+        raise ValueError("interpolation needs at least 2 nodes per axis")
     directions = _sphere_directions(u.spec.dim, num_points)
     with np.errstate(over="ignore"):  # a point beyond the float range is outside the grid
         points = center_arr + radius * directions

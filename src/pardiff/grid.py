@@ -288,17 +288,17 @@ def save_grid(u: GridFunction, path: str) -> None:
     _atomic_write([(path, grid_file_text(u))])
 
 
-def _read_text(path: str) -> str:
+def _read_text(path: str, error: type[ValueError] = GridFileError) -> str:
     """The whole file, decoded as UTF-8 with universal newlines.
 
-    Bytes that are not UTF-8 raise a GridFileError with the offset of the
-    first one in the file.
+    Bytes that are not UTF-8 raise ``error`` with the offset of the first one
+    in the file.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return fh.read()
         except UnicodeDecodeError as exc:
-            raise GridFileError(
+            raise error(
                 f"{path}: not valid UTF-8 at byte offset {exc.start}: {exc.reason}"
             ) from None
 
@@ -343,30 +343,25 @@ def _grid_header(path: str, lines: list[tuple[int, str]]) -> GridSpec:
         raise GridFileError(f"{path}: {exc}") from None
 
 
-def _bulk_values(text: str, at: int, lineno: int, count: int) -> np.ndarray | None:
-    """One ``float`` pass over the body, which starts at offset ``at``, line ``lineno``.
+def _bulk_values(lines: list[str], count: int) -> np.ndarray | None:
+    """One ``float`` pass over the body ``lines``.
 
     None, for the per-line reader to take over, unless the body has exactly
     ``count`` lines after one final empty line is dropped and ``float`` takes
-    each.  A body with a ``#`` has comments, so it gets None before the split.
+    each.  ``float`` refuses a line that holds ``#``, so a body with comments
+    gets None too.
     """
-    if text.find("#", at) >= 0:
+    if len(lines) - (lines[-1:] == [""]) != count:
         return None
-    parts = text.split("\n")
-    del parts[: lineno - 1]
-    if parts and parts[-1] == "":
-        parts.pop()
-    if len(parts) != count:
-        return None
-    try:
-        return np.fromiter(map(float, parts), float, count)
+    try:  # fromiter stops after count lines, before a final empty one
+        return np.fromiter(map(float, lines), float, count)
     except ValueError:
         return None
 
 
-def _body_values(path: str, text: str, lineno: int, count: int) -> np.ndarray:
-    """The per-line reader: ``count`` value lines of ``text``, which starts at line ``lineno``."""
-    body = _content_lines(text, lineno)
+def _body_values(path: str, lines: list[str], lineno: int, count: int) -> np.ndarray:
+    """The per-line reader: ``count`` value lines of ``lines``, which start at line ``lineno``."""
+    body = _content_lines("\n".join(lines), lineno)
     if len(body) != count:
         raise GridFileError(f"{path}: expected {count} value lines, found {len(body)}")
     values = np.empty(count)
@@ -385,20 +380,21 @@ def load_grid(path: str) -> GridFunction:
     body with comments, blank lines, a bad value or the wrong number of lines
     goes through the per-line reader, which names the line at fault.
     """
-    text = _read_text(path)
+    lines = _read_text(path).split("\n")
     header: list[tuple[int, str]] = []
-    lineno, at = 1, 0
-    while len(header) < 4 and at <= len(text):
-        end = text.find("\n", at)
-        end = len(text) if end < 0 else end
-        header += _content_lines(text[at:end], lineno)
-        lineno, at = lineno + 1, end + 1
+    end = 0  # lines[:end] hold the header
+    while len(header) < 4 and end < len(lines):
+        header += _content_lines(lines[end], end + 1)
+        end += 1
     if len(header) < 4:
         raise GridFileError(f"{path}: truncated grid file")
     spec = _grid_header(path, header)
-    values = _bulk_values(text, at, lineno, spec.node_count)
+    del lines[:end]  # in place, so the body is not a second list
+    values = _bulk_values(lines, spec.node_count)
     if values is None:
-        values = _body_values(path, text[at:], lineno, spec.node_count)
+        values = _body_values(path, lines, end + 1, spec.node_count)
+    # freed before the grid is made, whose objects would otherwise keep the line strings' memory
+    del lines
     try:
         return GridFunction(spec, values)
     except ValueError as exc:

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import expr as ex
 from .grid import (
-    GridFileError, GridFunction, GridSpec, _atomic_write, _check_length, _content_lines,
+    GridFunction, GridSpec, _atomic_write, _check_length, _content_lines,
     _header_fields, _read_text, _same_pitch, norm, restrict,
 )
 
@@ -282,10 +282,7 @@ def load_stencil(path: str) -> Stencil:
     Term lines are ``term s1 ... sN c`` with ``c`` either a numeric literal or
     a double-quoted coefficient expression.
     """
-    try:
-        lines = _content_lines(_read_text(path))
-    except GridFileError as exc:
-        raise StencilFileError(str(exc)) from None
+    lines = _content_lines(_read_text(path, StencilFileError))
     if len(lines) < 4:
         raise StencilFileError(f"{path}: truncated stencil file")
     try:

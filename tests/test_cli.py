@@ -265,6 +265,27 @@ class TestSolveCommand:
         assert code == 2
         assert not out.exists()
 
+    def test_non_convergence_names_the_final_residual(self, tmp_path, capsys):
+        # a ring of exp(x1)*sin(x2) round a zero interior: the SOR residual is not
+        # monotone, and sweep 37 reads higher than sweep 36
+        spec = GridSpec((0.0, 0.0), 1 / 32, (33, 33))
+        values = sample("exp(x1)*sin(x2)", spec).values.copy()
+        values[1:-1, 1:-1] = 0.0
+        grid = tmp_path / "ring.grd"
+        save_grid(GridFunction(spec, values), str(grid))
+        out = tmp_path / "sol.grd"
+        argv = ["solve", "laplace", "--grid", str(grid), "--max-iter", "37", "--output", str(out)]
+        assert main(argv) == 2
+        report = elliptic.solve_laplace_dirichlet(load_grid(str(grid)), elliptic.SOLVE_TOL, 37)
+        earlier = elliptic.solve_laplace_dirichlet(load_grid(str(grid)), elliptic.SOLVE_TOL, 36)
+        assert earlier.final_residual < report.final_residual
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "error: solve laplace did not converge within 37 iterations "
+            f"(final residual {report.final_residual:.3e})"
+        )
+        assert f"{report.final_residual:.3e}" == "5.273e-03"
+        assert not out.exists()
+
     def test_boundary_evaluation_failure_exits_2(self, tmp_path):
         spec = GridSpec((-1.0, -1.0), 0.25, (9, 9))
         grid = tmp_path / "g.grd"
@@ -913,9 +934,9 @@ class TestNegativeCoordinateSpellings:
         assert main(argv) == 0
         assert out.read_text().splitlines()[1] == "-1.0000000000000001e-05,-0.002,2,2,elliptic"
 
-    def test_non_number_after_a_coordinate_list_is_not_taken(self, lap2, capsys):
+    def test_non_number_in_a_coordinate_list_is_refused_by_its_type(self, lap2, capsys):
         assert main(["classify", "--stencil", lap2, "--at", "-1e-05", "0", "-x"]) == 1
-        assert capsys.readouterr().err == "error: unrecognized arguments: -x\n"
+        assert capsys.readouterr().err == "error: argument --at: invalid float value: '-x'\n"
 
 
 # Each numeric option in a command that takes it, the type it reads, and pardiff's own
@@ -971,8 +992,7 @@ class TestOptionValues:
         try:
             number = kind(value)
         except ValueError:  # int() refuses it, and so does argparse
-            assert code == 1 and err.startswith(f"error: argument {option}: invalid int value: ")
-            assert err.count("\n") == 1
+            assert (code, err) == (1, f"error: argument {option}: invalid int value: '{value}'\n")
             return
         if message is not None:
             assert (code, err) == (1, f"error: {message.format(number)}\n")
@@ -990,7 +1010,7 @@ class TestOptionValues:
             for action in command._actions:
                 for option in action.option_strings:
                     kinds.setdefault(option, set()).add((action.nargs, action.type))
-        assert all(len(k) == 1 for k in kinds.values())  # _mark_option_values reads one per option
+        assert all(len(k) == 1 for k in kinds.values())  # an option reads the same in every command
         kinds = {option: k.pop() for option, k in kinds.items()}
         assert {o for o, (nargs, _) in kinds.items() if nargs == "+"} == LIST_OPTIONS
         assert {o for o, (_, kind) in kinds.items() if kind in (float, int)} == set(NUMERIC_OPTIONS)
@@ -1013,14 +1033,24 @@ class TestOptionValues:
         assert main(argv) == 1
         assert capsys.readouterr().err == "error: argument --rhs: expected one argument\n"
         assert not out.exists()
-        parser = cli._build_parser()
-        marked = cli._mark_option_values(["--tol", "-1", "--", "--tol", "-1"], parser)
-        assert list(marked) == ["--tol=-1", "--", "--tol", "-1"]
+
+    def test_after_double_dash_no_argument_is_an_option(self, box_grid, tmp_path, capsys):
+        out = tmp_path / "o.grd"
+        argv = ["solve", "laplace", "--grid", box_grid, "--output", str(out), "--", "--tol", "-1"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: unrecognized arguments: ") and err.endswith(" --tol -1\n")
+        assert err.count("\n") == 1 and not out.exists()
+
+    def test_an_option_is_never_a_value(self, box_grid, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["solve", "laplace", "--grid", box_grid, "--output", "--report"]) == 1
+        assert capsys.readouterr().err == "error: argument --output: expected one argument\n"
+        assert os.listdir(tmp_path) == ["box.grd"]
 
     @pytest.mark.parametrize("argv", _readme_commands(), ids=lambda argv: argv[0])
     def test_readme_command_parses(self, argv):
-        parser = cli._build_parser()
-        args = parser.parse_args(list(cli._mark_option_values(argv, parser)))
+        args = cli._build_parser().parse_args(argv)
         assert args.command == argv[0]
 
     def test_readme_shows_every_command(self):

@@ -49,8 +49,9 @@ def lap2(workdir):
 @pytest.mark.parametrize(
     "at, row",
     [(["0", "0"], "0,0,2,2,elliptic"),
-     (["-1e-05", "0"], "-1.0000000000000001e-05,0,2,2,elliptic")],
-    ids=["origin", "negative-exponent-form"],
+     (["-1e-05", "0"], "-1.0000000000000001e-05,0,2,2,elliptic"),
+     (["-1e-05", "-2.5E+3"], "-1.0000000000000001e-05,-2500,2,2,elliptic")],
+    ids=["origin", "negative-exponent-form", "two-negative-coordinates"],
 )
 def test_classify_a_point(workdir, lap2, at, row):
     result = run_cli(workdir, "classify", "--stencil", lap2, "--at", *at)
@@ -158,3 +159,13 @@ def test_an_abbreviated_option_is_one_error_line(workdir):
     result = run_cli(workdir, "solve", "laplace", "--grid", "box.grd", "--out", "o.grd")
     assert_one_error(result, 1)
     assert os.listdir(workdir) == ["box.grd"]
+
+
+def test_a_negative_list_value_is_refused_as_typed(workdir, lap2):
+    errors = []
+    for _ in range(2):
+        result = run_cli(workdir, "classify", "--stencil", lap2, "--probe-origin", "0", "0",
+                         "--probe-h", "1", "--probe-extents", "1", "-1.5")
+        assert_one_error(result, 1)
+        errors.append(result.stderr)
+    assert errors == ["error: argument --probe-extents: invalid int value: '-1.5'\n"] * 2
