@@ -4,9 +4,12 @@ This module parses arguments, lays out CSV and maps exceptions to exit codes;
 everything else lives in the library.  Results go to files or standard
 output, diagnostics to standard error.  CSV output uses a fixed header per
 subcommand and 17-significant-digit floats, so identical inputs produce
-byte-identical output.  Each command returns its outputs and ``main`` writes
-all of its files or none, through ``grid._atomic_write``, and then standard
-output; an error names the target path as given.
+byte-identical output.  ``main`` checks every output file before the command
+reads any input (``grid._check_targets``: a directory, a missing directory or
+a target that is not a regular file is refused).  Each command returns its
+outputs and ``main`` writes all of its files or none, through
+``grid._atomic_write``, and then standard output; an error names the target
+path as given.
 
 An argument is an option only when it is spelled as one of its command's
 options, alone or as ``--name=value``; every other argument is a value,
@@ -44,14 +47,15 @@ from .elliptic import (
     solve_poisson_dirichlet,
 )
 from .expr import ExprEvalError
-from .grid import GridSpec, _atomic_write, grid_file_text, load_grid, sample
+from .grid import GridSpec, _atomic_write, _check_targets, grid_file_chunks, load_grid, sample
 from .mollify import MollifierError, convolve, mollifier_for
 from .stencil import biharmonic_stencil, laplace_stencil, load_stencil, residual
 
 __all__ = ["main"]
 
-# What a command returns: (file, or None for standard output; its text) pairs, written by main.
-Outputs = list[tuple[str | None, str]]
+# What a command returns: (file, or None for standard output; its text) pairs, written by
+# main.  A file's text may be an iterable of chunks, such as a grid's grid_file_chunks.
+Outputs = list[tuple[str | None, str | Iterable[str]]]
 
 
 class _UsageError(ValueError):
@@ -109,7 +113,7 @@ def _cmd_classify(args) -> Outputs:
 def _cmd_apply(args) -> Outputs:
     s = load_stencil(args.stencil)
     u = load_grid(args.grid)
-    return [(args.output, grid_file_text(s.apply(u)))]
+    return [(args.output, grid_file_chunks(s.apply(u)))]
 
 
 def _cmd_solve(args) -> Outputs:
@@ -146,7 +150,7 @@ def _cmd_solve(args) -> Outputs:
         )
     row = [args.operator, report.iterations, report.final_residual, "true"]
     csv = _csv_text("operator,iterations,final_residual,converged", [row])
-    return [(args.output, grid_file_text(report.solution)), (args.report, csv)]
+    return [(args.output, grid_file_chunks(report.solution)), (args.report, csv)]
 
 
 def _cmd_mollify(args) -> Outputs:
@@ -154,14 +158,14 @@ def _cmd_mollify(args) -> Outputs:
     kernel = mollifier_for(u.spec, args.eps, args.refine)
     row = [kernel.mass, kernel.support_radius, kernel.symmetry_deviation]
     csv = _csv_text("mass,support_radius,symmetry_deviation", [row])
-    return [(args.output, grid_file_text(convolve(u, kernel))), (args.report, csv)]
+    return [(args.output, grid_file_chunks(convolve(u, kernel))), (args.report, csv)]
 
 
 def _cmd_potential(args) -> Outputs:
     source = load_grid(args.source)
     targets = load_grid(args.targets).spec if args.targets else source.spec
     fs = FundamentalSolution(source.spec.dim)
-    return [(args.output, grid_file_text(newtonian_potential(fs, source, targets)))]
+    return [(args.output, grid_file_chunks(newtonian_potential(fs, source, targets)))]
 
 
 def _cmd_verify(args) -> Outputs:
@@ -275,6 +279,7 @@ def main(argv: list[str] | None = None) -> int:
         report = vars(args).get("report")
         if report is not None and os.path.realpath(report) == os.path.realpath(args.output):
             raise _UsageError(f"--output {args.output} and --report {report} name the same file")
+        _check_targets(p for p in (vars(args).get("output"), report) if p is not None)
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             outputs = args.func(args)
         _atomic_write([(path, text) for path, text in outputs if path is not None])

@@ -8,11 +8,13 @@ index varies fastest), the same order used by the grid file format.
 from __future__ import annotations
 
 import errno
+import itertools
 import math
 import os
+import stat
 import tempfile
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -34,6 +36,9 @@ Margins = Union[int, Sequence[Sequence[int]]]
 
 # Largest grid, in nodes: 4096^2 or 256^3, one 128 MiB array of doubles.
 MAX_NODES = 2**24
+
+# Values per block of a grid file's body, read or written.
+_BLOCK_VALUES = 4096
 
 
 class GridFileError(ValueError):
@@ -235,45 +240,93 @@ def _valid_convolve(a: np.ndarray, k: np.ndarray) -> np.ndarray:
     return out
 
 
-def grid_file_text(u: GridFunction) -> str:
-    """The grid file serialization: header lines then one value per line."""
+def grid_file_chunks(u: GridFunction) -> Iterator[str]:
+    """The grid file serialization in pieces: the header lines, then blocks of
+    at most ``_BLOCK_VALUES`` values, one per line."""
     spec = u.spec
-    header = (
+    yield (
         f"dim {spec.dim}\n"
         f"origin {' '.join(format(v, '.17g') for v in spec.origin)}\n"
         f"h {format(spec.h, '.17g')}\n"
         f"extents {' '.join(str(e) for e in spec.extents)}\n"
     )
-    return header + ("%.17g\n" * spec.node_count) % tuple(u.flat().tolist())
+    flat = u.flat()
+    for lo in range(0, flat.size, _BLOCK_VALUES):
+        block = flat[lo:lo + _BLOCK_VALUES].tolist()
+        yield ("%.17g\n" * len(block)) % tuple(block)
 
 
-def _atomic_write(files: Sequence[tuple[str, str]]) -> None:
+def grid_file_text(u: GridFunction) -> str:
+    """The grid file serialization: header lines then one value per line."""
+    return "".join(grid_file_chunks(u))
+
+
+def _check_targets(paths: Iterable[str]) -> list[tuple[str, int | None]]:
+    """Each output path resolved through its symlinks, with the permission bits
+    of the file already there (None for a new file).
+
+    Refused, by an ``OSError`` naming the path as given: an empty path, a
+    directory, a missing parent, a parent that is not a directory, and an
+    existing target that is not a regular file (a FIFO or a device cannot be
+    staged and renamed over).  Only ``os.stat`` looks at a target, so a FIFO
+    is never opened; it stats the path as given, so that the kernel follows
+    links such as ``/dev/stdout`` that ``realpath`` cannot.
+    """
+    out = []
+    for path in paths:
+        if not path:
+            raise OSError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+        resolved = os.path.realpath(path)
+        try:
+            st = os.stat(path)
+        except FileNotFoundError:
+            try:
+                parent = os.stat(os.path.dirname(resolved))
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror, path) from None
+            if not stat.S_ISDIR(parent.st_mode):
+                raise OSError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), path) from None
+            out.append((resolved, None))
+            continue
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, path) from None
+        if stat.S_ISDIR(st.st_mode):
+            raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        if not stat.S_ISREG(st.st_mode):
+            raise OSError(errno.EINVAL, "Not a regular file", path)
+        out.append((resolved, stat.S_IMODE(st.st_mode)))
+    return out
+
+
+def _atomic_write(files: Sequence[tuple[str, str | Iterable[str]]]) -> None:
     """Write each ``(path, text)`` pair of ``files``: every path, or none of them.
 
-    Each text goes to a new ``.pardiff-*`` file beside its path (``O_EXCL``, mode
-    0o666 so the umask sets the permissions, as for ``open(path, "w")``), and
-    none is renamed until all are written: a failure before then removes every
-    temporary and leaves every path as it was.  An empty path, a directory and a
-    path under a regular file are refused before anything is staged.  Errors
-    name the path as given, not its temporary.  One window stays open: a rename
-    that fails after an earlier rename succeeded does not undo the earlier one.
+    A text is one ``str`` or an iterable of ``str`` chunks, written as they
+    come.  Every path first passes :func:`_check_targets`; a symlink is
+    followed, so the file it names is written and the link stays.  Each text
+    goes to a new ``.pardiff-*`` file beside the resolved target (``O_EXCL``,
+    mode 0o666 so the umask sets the permissions of a new file, as for
+    ``open(path, "w")``; an existing target's permission bits are kept), and
+    none is renamed until all are written: a failure before then, in a chunk
+    iterable too, removes every temporary and leaves every path as it was.
+    Errors name the path as given, not its temporary.  One window stays open:
+    a rename that fails after an earlier rename succeeded does not undo the
+    earlier one.
     """
-    for path, _ in files:
-        code = (errno.ENOENT if not path else errno.EISDIR if os.path.isdir(path)
-                else errno.ENOTDIR if os.path.isfile(os.path.dirname(path)) else 0)
-        if code:
-            raise OSError(code, os.strerror(code), path)
-    staged: list[tuple[str, str]] = []  # (temporary, path) pairs not yet renamed
+    targets = _check_targets(path for path, _ in files)
+    staged: list[tuple[str, str]] = []  # (temporary, resolved target) pairs not yet renamed
     try:
-        for path, text in files:
-            tmp = tempfile.mktemp(prefix=".pardiff-", dir=os.path.dirname(path))
+        for (path, text), (target, mode) in zip(files, targets):
+            tmp = tempfile.mktemp(prefix=".pardiff-", dir=os.path.dirname(target))
             try:
                 fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             except OSError as exc:
                 raise OSError(exc.errno, exc.strerror, path) from None
-            staged.append((tmp, path))
+            staged.append((tmp, target))
+            if mode is not None:
+                os.fchmod(fd, mode)
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines([text] if isinstance(text, str) else text)
         while staged:
             os.replace(*staged[0])
             del staged[0]
@@ -284,8 +337,12 @@ def _atomic_write(files: Sequence[tuple[str, str]]) -> None:
 
 
 def save_grid(u: GridFunction, path: str) -> None:
-    """Write the line-oriented grid file format (header then one value per line), atomically."""
-    _atomic_write([(path, grid_file_text(u))])
+    """Write the line-oriented grid file format (header then one value per line), atomically.
+
+    The text is written one block of values at a time, so it never exists
+    whole; memory beyond the grid stays small and does not grow with it.
+    """
+    _atomic_write([(path, grid_file_chunks(u))])
 
 
 def _read_text(path: str, error: type[ValueError] = GridFileError) -> str:
@@ -343,58 +400,86 @@ def _grid_header(path: str, lines: list[tuple[int, str]]) -> GridSpec:
         raise GridFileError(f"{path}: {exc}") from None
 
 
-def _bulk_values(lines: list[str], count: int) -> np.ndarray | None:
-    """One ``float`` pass over the body ``lines``.
+def _bulk_values(lines: list[str]) -> np.ndarray | None:
+    """One ``float`` pass over a block of body ``lines``; None, for the per-line
+    reader to take over, unless ``float`` takes each.
 
-    None, for the per-line reader to take over, unless the body has exactly
-    ``count`` lines after one final empty line is dropped and ``float`` takes
-    each.  ``float`` refuses a line that holds ``#``, so a body with comments
-    gets None too.
+    ``float`` refuses a blank line and a line that holds ``#``, so a block
+    with comments gets None too.
     """
-    if len(lines) - (lines[-1:] == [""]) != count:
-        return None
-    try:  # fromiter stops after count lines, before a final empty one
-        return np.fromiter(map(float, lines), float, count)
+    try:
+        return np.fromiter(map(float, lines), float, len(lines))
     except ValueError:
         return None
 
 
-def _body_values(path: str, lines: list[str], lineno: int, count: int) -> np.ndarray:
-    """The per-line reader: ``count`` value lines of ``lines``, which start at line ``lineno``."""
-    body = _content_lines("\n".join(lines), lineno)
-    if len(body) != count:
-        raise GridFileError(f"{path}: expected {count} value lines, found {len(body)}")
-    values = np.empty(count)
-    for k, (n, line) in enumerate(body):
-        try:
-            values[k] = float(line)
-        except ValueError:
-            raise GridFileError(f"{path}:{n}: invalid value {line!r}") from None
-    return values
+def _body_values(path: str, lines: Iterable[str], lineno: int, values: np.ndarray,
+                 filled: int) -> None:
+    """The per-line reader: the rest of the body, ``lines`` from line ``lineno`` on,
+    into ``values[filled:]``; ``values[:filled]`` already holds the lines before.
+
+    It reads to the end, so a wrong number of value lines is reported before
+    a bad value, and it names the first bad value's line.
+    """
+    bad = None  # (line number, text) of the first value float refuses
+    for n, raw in enumerate(lines, start=lineno):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if filled < values.size and bad is None:
+            try:
+                values[filled] = float(line)
+            except ValueError:
+                bad = (n, line)
+        filled += 1
+    if filled != values.size:
+        raise GridFileError(f"{path}: expected {values.size} value lines, found {filled}")
+    if bad is not None:
+        raise GridFileError(f"{path}:{bad[0]}: invalid value {bad[1]!r}")
 
 
 def load_grid(path: str) -> GridFunction:
     """Read a grid file written by :func:`save_grid`.  ``#`` lines are comments.
 
-    A body of exactly one value per line goes through one ``float`` pass; a
-    body with comments, blank lines, a bad value or the wrong number of lines
-    goes through the per-line reader, which names the line at fault.
+    The file is read as a stream (UTF-8, universal newlines): the header lines
+    first, from which the :class:`GridSpec` is built, then the body in blocks
+    of ``_BLOCK_VALUES`` lines into one preallocated array.  A block of one
+    value per line takes one ``float`` pass; from the first block with a
+    comment, a blank line or a bad value on, or past the expected number of
+    lines, the per-line reader takes over and names the line at fault.
+    Beyond the grid's own values, memory stays about one more array of them.
+    An undecodable byte is reported with its offset in the whole file.
     """
-    lines = _read_text(path).split("\n")
-    header: list[tuple[int, str]] = []
-    end = 0  # lines[:end] hold the header
-    while len(header) < 4 and end < len(lines):
-        header += _content_lines(lines[end], end + 1)
-        end += 1
-    if len(header) < 4:
-        raise GridFileError(f"{path}: truncated grid file")
-    spec = _grid_header(path, header)
-    del lines[:end]  # in place, so the body is not a second list
-    values = _bulk_values(lines, spec.node_count)
-    if values is None:
-        values = _body_values(path, lines, end + 1, spec.node_count)
-    # freed before the grid is made, whose objects would otherwise keep the line strings' memory
-    del lines
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            header: list[tuple[int, str]] = []
+            lineno = 0
+            while len(header) < 4:
+                raw = fh.readline()
+                if not raw:
+                    raise GridFileError(f"{path}: truncated grid file")
+                lineno += 1
+                header += _content_lines(raw.rstrip("\n"), lineno)
+            try:
+                spec = _grid_header(path, header)
+            except GridFileError:
+                for _ in fh:  # a byte that does not decode, anywhere, is the error to report
+                    pass
+                raise
+            values = np.empty(spec.node_count)
+            filled = 0
+            while block := list(itertools.islice(fh, _BLOCK_VALUES)):
+                bulk = None if filled + len(block) > values.size else _bulk_values(block)
+                if bulk is None:
+                    break
+                values[filled:filled + len(block)] = bulk
+                filled += len(block)
+                lineno += len(block)
+            if block or filled != values.size:
+                _body_values(path, itertools.chain(block, fh), lineno + 1, values, filled)
+    except UnicodeDecodeError:
+        _read_text(path)  # reads the file again for the offset and raises its GridFileError
+        raise
     try:
         return GridFunction(spec, values)
     except ValueError as exc:

@@ -32,9 +32,14 @@ class MollifierError(ValueError):
     """Raised when a kernel cannot be constructed or applied as requested."""
 
 
-# Largest normalization quadrature, panels**dim points: in 2-D each temporary
-# plane then stays within 32 MiB, in 3-D the plane loop within 161 passes.
+# Largest normalization quadrature, panels**dim points: one plane of doubles
+# (8 B a point, 32 MiB at 2048^2 in 2-D) bounds its memory, and in 3-D the
+# plane loop stays within 161 passes.
 MAX_QUADRATURE_POINTS = 2**22
+
+# Points per row block of a quadrature plane: its temporaries stay near 128 KiB,
+# and a 3-D plane of up to 161^2 points still takes two blocks at most.
+_QUADRATURE_BLOCK = 2**14
 
 _EMPTY_REGION = "empty valid region: the grid does not contain the kernel support"
 
@@ -87,18 +92,25 @@ class MollifierKernel:
 
 
 def _profile_box_integral(dim: int, panels: int) -> float:
-    """Midpoint tensor quadrature of bump(|x|^2) over [-1, 1]^dim."""
+    """Midpoint tensor quadrature of bump(|x|^2) over [-1, 1]^dim.
+
+    Each ``(panels, panels)`` plane is filled in row blocks of about
+    ``_QUADRATURE_BLOCK`` points and summed whole, so the sum is the same
+    pairwise sum as over a plane built in one piece, bit for bit.
+    """
     t = -1.0 + (np.arange(panels) + 0.5) * (2.0 / panels)
     sq = t * t
     if dim == 1:
         total = float(bump(sq).sum())
     else:
-        base_iter = np.ndindex(*((panels,) * (dim - 2)))
-        plane = sq[:, None] + sq[None, :]
+        plane = np.empty((panels, panels))
+        rows = max(1, _QUADRATURE_BLOCK // panels)
         total = 0.0
-        for idx in base_iter:
+        for idx in np.ndindex(*((panels,) * (dim - 2))):
             offset = sum(sq[i] for i in idx)
-            total += float(bump(plane + offset).sum())
+            for lo in range(0, panels, rows):
+                plane[lo:lo + rows] = bump(sq[lo:lo + rows, None] + sq[None, :] + offset)
+            total += float(plane.sum())
     return total * (2.0 / panels) ** dim
 
 

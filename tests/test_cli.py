@@ -1174,7 +1174,7 @@ class TestAllOutputsOrNone:
             assert captured.out == ""
             lines = captured.err.splitlines(keepends=True)
             assert lines[-1] == err  # the same on every run: no temporary name
-            assert len(lines) == (2 if command[0] == "solve" else 1)  # solve's wall-time line
+            assert len(lines) == 1  # refused before the command runs, so solve prints no time
         assert sorted(os.listdir(box9)) == before
         assert os.listdir(box9 / "adir") == []
 
@@ -1205,6 +1205,56 @@ class TestAllOutputsOrNone:
                          "--output", "o.grd"]) == 0
         assert "".join(text for text, _ in seen).startswith("operator,iterations,")
         assert all(written for _, written in seen)
+
+
+class TestOutputTargets:
+    """Every output target is checked before any input is read, by os.stat alone."""
+
+    @pytest.fixture
+    def box9(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        save_grid(sample("x1*x2", GridSpec((0.0, 0.0), 0.25, (9, 9))), "box9.grd")
+        return tmp_path
+
+    SOLVE = ["solve", "poisson", "--rhs", "1", "--grid", "box9.grd", "--output", "o.grd"]
+
+    def test_a_symlinked_report_keeps_its_link(self, box9, capsys):
+        Path("real.csv").write_text("old\n")
+        os.symlink("real.csv", "link.csv")
+        assert main([*self.SOLVE, "--report", "link.csv"]) == 0
+        assert os.readlink("link.csv") == "real.csv"
+        assert Path("real.csv").read_text().startswith("operator,iterations,")
+        assert capsys.readouterr().out == ""
+
+    def test_a_fifo_with_no_reader_is_refused_before_the_solve(self, box9, capsys, monkeypatch):
+        os.mkfifo("fifo")
+        monkeypatch.setattr(cli, "load_grid", _nothing_is_built)
+        assert main([*self.SOLVE, "--report", "fifo"]) == 1
+        assert capsys.readouterr().err == "error: [Errno 22] Not a regular file: 'fifo'\n"
+        assert os.path.exists("fifo") and not os.path.isfile("fifo")
+        assert sorted(os.listdir(box9)) == ["box9.grd", "fifo"]
+
+    def test_a_0600_report_stays_0600(self, box9):
+        Path("r.csv").write_text("old\n")
+        os.chmod("r.csv", 0o600)
+        assert main([*self.SOLVE, "--report", "r.csv"]) == 0
+        assert os.stat("r.csv").st_mode & 0o777 == 0o600
+        assert Path("r.csv").read_text().startswith("operator,iterations,")
+
+    @pytest.mark.parametrize(
+        "outputs, err",
+        [(["--output="], "error: [Errno 2] No such file or directory: ''\n"),
+         (["--output", "missing/o.grd"],
+          "error: [Errno 2] No such file or directory: 'missing/o.grd'\n"),
+         (["--output", "o.grd", "--report", "missing/r.csv"],
+          "error: [Errno 2] No such file or directory: 'missing/r.csv'\n")],
+        ids=["empty-output", "output-in-missing-directory", "report-in-missing-directory"],
+    )
+    def test_the_target_error_comes_before_a_missing_grid(self, box9, capsys, outputs, err):
+        argv = ["solve", "poisson", "--rhs", "1", "--grid", "nope.grd", *outputs]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == err
+        assert os.listdir(box9) == ["box9.grd"]
 
 
 class TestDeterminism:

@@ -1,5 +1,7 @@
 import math
 import os
+import stat
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,6 +16,7 @@ from pardiff.grid import (
     GridSpec,
     _atomic_write,
     _header_fields,
+    grid_file_chunks,
     grid_file_text,
     load_grid,
     norm,
@@ -328,6 +331,15 @@ def lines(values, end=b"\n"):
 LONG_BODY = [b"%.17g" % (k / 7) for k in range(1000)]
 LONG_BODY[600] = b"0.5\xff"
 
+# 1-D files longer than the loader's first block of 4096 body lines, with a
+# fault in the second block or at the edge of the first.
+LATER = [b"%.17g" % (k / 3) for k in range(5000)]
+
+
+def long_file(body, extent=5000):
+    return b"dim 1\norigin 0\nh 1\nextents %d\n" % extent + lines(body)
+
+
 GRID_FILES = {
     "plain": HEADER + lines(VALUES),
     "blank-line-in-body": HEADER + lines(VALUES[:2] + [b""] + VALUES[2:]),
@@ -358,6 +370,15 @@ GRID_FILES = {
     "bad-dimension": b"dim 0\norigin 0\nh 1\nextents 1\n0\n",
     "bad-header": b"dim 2\norigin 0\nh 1\nextents 1 1\n0\n",
     "wrong-header-key": b"dim 2\norigin 0 -1\nspacing 0.5\nextents 2 3\n" + lines(VALUES),
+    "values-over-several-blocks": long_file(LATER),
+    "bad-value-in-a-later-block": long_file(LATER[:4500] + [b"1.5.2"] + LATER[4501:]),
+    "comment-in-a-later-block": long_file(LATER[:4500] + [b"# note"] + LATER[4500:]),
+    "invalid-utf8-in-a-later-block": long_file(LATER[:4500] + [b"0.5\xff"] + LATER[4501:]),
+    "one-line-too-few-at-a-block-edge": long_file(LATER[:4096], 4097),
+    "one-line-too-many-at-a-block-edge": long_file(LATER[:4097], 4096),
+    # past the first 8 KiB, which the header's first read decodes
+    "bad-header-then-invalid-utf8": b"dim 2\norigin 0\nh 1\nextents 1 1\n" + lines(LATER[:1000])
+    + b"0\xff\n",
 }
 
 # The files that are not valid UTF-8: the offset in the file of the first
@@ -366,6 +387,12 @@ DECODE_ERRORS = {
     "invalid-utf8": (48, "invalid start byte"),
     "invalid-utf8-past-8-kib": (10051, "invalid start byte"),
     "cut-multibyte-at-end": (62, "unexpected end of data"),
+    "bad-header-then-invalid-utf8": (
+        GRID_FILES["bad-header-then-invalid-utf8"].index(b"\xff"), "invalid start byte"
+    ),
+    "invalid-utf8-in-a-later-block": (
+        GRID_FILES["invalid-utf8-in-a-later-block"].index(b"\xff"), "invalid start byte"
+    ),
 }
 
 
@@ -381,6 +408,7 @@ def expected_outcome(name, path):
 BULK_FILES = [
     "plain", "comments-in-header", "crlf", "cr-only", "mixed-line-endings",
     "no-trailing-newline", "padded-value", "unicode-spaces", "underscore", "non-finite-value",
+    "values-over-several-blocks",
 ]
 
 
@@ -441,6 +469,59 @@ class TestBulkLoadAgainstPerLineReader:
         assert load_outcome(reference_load_grid, path) == (u.spec, u.values.tobytes())
 
 
+class TestLoadInSmallBlocks(TestBulkLoadAgainstPerLineReader):
+    """The whole suite again with blocks of a few lines, so that every file has
+    block edges: in its body, at its end and around each fault."""
+
+    @pytest.fixture(autouse=True, params=[1, 2, 3, 7])
+    def block(self, request, monkeypatch):
+        monkeypatch.setattr(grid_module, "_BLOCK_VALUES", request.param)
+
+
+class TestGridFileMemory:
+    """tracemalloc peaks per node at 513², against the 8 B of each value."""
+
+    NODES = 513 * 513
+
+    @pytest.fixture(scope="class")
+    def grid(self):
+        rng = np.random.default_rng(5)
+        spec = GridSpec((0.0, 0.0), 1 / 512, (513, 513))
+        return GridFunction(spec, rng.standard_normal(spec.extents))
+
+    def peak_per_node(self, fn, *args):
+        tracemalloc.start()
+        try:
+            fn(*args)
+        except GridFileError:
+            pass
+        finally:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        return peak / self.NODES
+
+    def test_save_and_load(self, tmp_path, grid):
+        path = str(tmp_path / "g.grd")
+        assert self.peak_per_node(save_grid, grid, path) <= 4
+        assert self.peak_per_node(load_grid, path) <= 20
+        assert load_grid(path).values.tobytes() == grid.values.tobytes()
+
+    @pytest.mark.parametrize("fault", ["truncated", "bad-value-in-the-last-block"])
+    def test_a_faulty_body(self, tmp_path, grid, fault):
+        path = tmp_path / "g.grd"
+        text = grid_file_text(grid)
+        if fault == "truncated":
+            text = text[:text.rindex("\n", 0, -1) + 1]
+            error = f"{path}: expected {self.NODES} value lines, found {self.NODES - 1}"
+        else:
+            text = text[:text.rindex("\n", 0, -1) + 1] + "nope\n"
+            error = f"{path}:{self.NODES + 4}: invalid value 'nope'"
+        path.write_text(text)
+        del text
+        assert self.peak_per_node(load_grid, str(path)) <= 24
+        assert load_outcome(load_grid, path) == ("GridFileError", error)
+
+
 # Written once by the per-value writer that grid_file_text replaced.
 EDGE_VALUES = [0.1, 1 / 3, -0.0, 5e-324, -1.7976931348623157e308, 2.2250738585072014e-308,
                1e16, 123456789.0, -2 / 3]
@@ -469,6 +550,19 @@ class TestGridFileText:
         assert grid_file_text(u) == text
         save_grid(u, str(tmp_path / "g.grd"))
         assert (tmp_path / "g.grd").read_bytes() == text.encode()
+
+
+class TestGridFileChunks:
+    @pytest.mark.parametrize("block", [1, 2, 3, 7, 4096])
+    @pytest.mark.parametrize("name", sorted(GOLDEN_TEXT))
+    def test_chunks_join_to_the_golden_text(self, monkeypatch, name, block):
+        monkeypatch.setattr(grid_module, "_BLOCK_VALUES", block)
+        spec, text = GOLDEN_TEXT[name]
+        u = GridFunction(spec, EDGE_VALUES)
+        chunks = list(grid_file_chunks(u))
+        assert "".join(chunks) == text == grid_file_text(u)
+        full, rest = divmod(len(EDGE_VALUES), block)
+        assert [c.count("\n") for c in chunks] == [4] + [block] * full + [rest] * (rest > 0)
 
 
 class TestAtomicWrite:
@@ -537,3 +631,76 @@ class TestAtomicWriteOfSeveralFiles:
             _atomic_write([("a.txt", "a\n"), (path, "b\n")])
         assert str(info.value) == error
         assert sorted(os.listdir(tmp_path)) == ["adir", "afile"]
+
+    def test_a_chunk_iterable_that_raises_midway_changes_no_target(self, tmp_path):
+        (tmp_path / "a.txt").write_text("old\n")
+
+        def chunks():
+            yield "1\n"
+            raise RuntimeError("no more chunks")
+
+        with pytest.raises(RuntimeError, match="no more chunks"):
+            _atomic_write([(str(tmp_path / "a.txt"), "new\n"), (str(tmp_path / "b.txt"), chunks())])
+        assert (tmp_path / "a.txt").read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["a.txt"]
+
+
+class TestOutputTargets:
+    """Targets are resolved through symlinks and checked by ``os.stat`` alone."""
+
+    def test_a_symlink_keeps_its_link_and_its_file_is_written(self, tmp_path):
+        (tmp_path / "real.grd").write_text("old\n")
+        os.symlink("real.grd", tmp_path / "link.grd")
+        u = sample("x1", GridSpec((0.0,), 1.0, (3,)))
+        save_grid(u, str(tmp_path / "link.grd"))
+        assert os.readlink(tmp_path / "link.grd") == "real.grd"
+        assert (tmp_path / "real.grd").read_text() == grid_file_text(u)
+        assert sorted(os.listdir(tmp_path)) == ["link.grd", "real.grd"]
+
+    def test_a_dangling_symlink_creates_the_file_it_names(self, tmp_path):
+        os.symlink("real.txt", tmp_path / "link.txt")
+        _atomic_write([(str(tmp_path / "link.txt"), "a\n")])
+        assert os.path.islink(tmp_path / "link.txt")
+        assert (tmp_path / "real.txt").read_text() == "a\n"
+
+    @pytest.mark.parametrize("mode", [0o600, 0o640, 0o604])
+    def test_an_existing_file_keeps_its_permission_bits(self, tmp_path, mode):
+        path = tmp_path / "a.txt"
+        path.write_text("old\n")
+        os.chmod(path, mode)
+        _atomic_write([(str(path), "new\n")])
+        assert path.read_text() == "new\n"
+        assert stat.S_IMODE(os.stat(path).st_mode) == mode
+
+    def test_a_fifo_is_refused_and_never_opened(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        os.mkfifo("fifo")  # no reader: opening it for writing would block
+        with pytest.raises(OSError) as info:
+            _atomic_write([("a.txt", "a\n"), ("fifo", "b\n")])
+        assert str(info.value) == "[Errno 22] Not a regular file: 'fifo'"
+        assert stat.S_ISFIFO(os.stat("fifo").st_mode)
+        assert os.listdir(tmp_path) == ["fifo"]
+
+    def test_a_symlink_to_a_fifo_is_refused_by_its_own_name(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        os.mkfifo("fifo")
+        os.symlink("fifo", "link")
+        with pytest.raises(OSError) as info:
+            save_grid(sample("x1", GridSpec((0.0,), 1.0, (3,))), "link")
+        assert str(info.value) == "[Errno 22] Not a regular file: 'link'"
+        assert sorted(os.listdir(tmp_path)) == ["fifo", "link"]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_a_link_to_a_pipe_through_proc_is_refused(self, tmp_path, monkeypatch):
+        # the shape of /dev/stdout on a pipe: realpath cannot follow the last link
+        monkeypatch.chdir(tmp_path)
+        r, w = os.pipe()
+        try:
+            os.symlink(f"/proc/{os.getpid()}/fd/{w}", "out")
+            with pytest.raises(OSError) as info:
+                _atomic_write([("out", "a\n")])
+        finally:
+            os.close(r)
+            os.close(w)
+        assert str(info.value) == "[Errno 22] Not a regular file: 'out'"
+        assert os.listdir(tmp_path) == ["out"]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,6 +97,47 @@ class TestMakeMollifier:
         assert 161**3 <= MAX_QUADRATURE_POINTS < 162**3
         with pytest.raises(MollifierError, match="quadrature"):
             make_mollifier(dim, eps, spacing, refine)
+
+
+def whole_plane_integral(dim, panels):
+    """The quadrature as it was written before row blocks: each plane built and bumped whole."""
+    t = -1.0 + (np.arange(panels) + 0.5) * (2.0 / panels)
+    sq = t * t
+    if dim == 1:
+        total = float(bump(sq).sum())
+    else:
+        plane = sq[:, None] + sq[None, :]
+        total = 0.0
+        for idx in np.ndindex(*((panels,) * (dim - 2))):
+            offset = sum(sq[i] for i in idx)
+            total += float(bump(plane + offset).sum())
+    return total * (2.0 / panels) ** dim
+
+
+class TestQuadratureInRowBlocks:
+    @pytest.mark.parametrize(
+        "dim,panels", [(2, 31), (2, 512), (2, 513), (2, 1000), (3, 64), (3, 161), (1, 77)]
+    )
+    def test_bit_for_bit_the_whole_plane_quadrature(self, dim, panels):
+        got = mollify_module._profile_box_integral(dim, panels)
+        assert got.hex() == whole_plane_integral(dim, panels).hex()
+
+    def test_the_kernel_keeps_its_bytes(self, monkeypatch):
+        got = make_mollifier(2, 0.125, 1 / 256)
+        monkeypatch.setattr(mollify_module, "_profile_box_integral", whole_plane_integral)
+        want = make_mollifier(2, 0.125, 1 / 256)
+        assert got.normalization.hex() == want.normalization.hex()
+        assert got.samples.values.tobytes() == want.samples.values.tobytes()
+
+    def test_traced_peak_at_the_2d_limit(self):
+        assert 2048**2 <= MAX_QUADRATURE_POINTS
+        tracemalloc.start()
+        try:
+            mollify_module._profile_box_integral(2, 2048)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 36 * 2**20  # one 32 MiB plane and its row block's temporaries
 
 
 class TestValidators:
