@@ -11,6 +11,7 @@ import errno
 import itertools
 import math
 import os
+import re
 import stat
 import tempfile
 from dataclasses import dataclass
@@ -261,6 +262,29 @@ def grid_file_text(u: GridFunction) -> str:
     return "".join(grid_file_chunks(u))
 
 
+# A process's descriptor directory, where /dev/fd, /dev/stdout and the like lead.
+_DESCRIPTOR_DIR = re.compile(r"/proc/[^/]+(?:/task/[^/]+)?/fd")
+
+
+def _names_a_descriptor(path: str) -> bool:
+    """Whether ``path``, or a link on the way to its file, lies in a descriptor
+    directory such as ``/proc/<pid>/fd``.
+
+    Such a link names an open descriptor, not a file: ``realpath`` reads it
+    as the file behind the descriptor (a shell's ``> log`` redirect for
+    ``/dev/stdout``), and staging and renaming over that file would replace
+    what the descriptor's owner has written and go on writing to.
+    """
+    p = os.path.join(os.getcwd(), path)
+    for _ in range(40):  # the kernel's own limit on links in one lookup
+        if _DESCRIPTOR_DIR.fullmatch(os.path.realpath(os.path.dirname(p))):
+            return True
+        if not os.path.islink(p):
+            return False
+        p = os.path.join(os.path.dirname(p), os.readlink(p))
+    return False
+
+
 def _check_targets(paths: Iterable[str]) -> list[tuple[str, int | None]]:
     """Each output path resolved through its symlinks, with the permission bits
     of the file already there (None for a new file).
@@ -268,14 +292,16 @@ def _check_targets(paths: Iterable[str]) -> list[tuple[str, int | None]]:
     Refused, by an ``OSError`` naming the path as given: an empty path, a
     directory, a missing parent, a parent that is not a directory, and an
     existing target that is not a regular file (a FIFO or a device cannot be
-    staged and renamed over).  Only ``os.stat`` looks at a target, so a FIFO
-    is never opened; it stats the path as given, so that the kernel follows
-    links such as ``/dev/stdout`` that ``realpath`` cannot.
+    staged and renamed over), nor a path that names an open descriptor, such
+    as ``/dev/stdout`` (see :func:`_names_a_descriptor`), whatever it is open
+    on.  No target is opened, so a FIFO with no reader never blocks.
     """
     out = []
     for path in paths:
         if not path:
             raise OSError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+        if _names_a_descriptor(path):
+            raise OSError(errno.EINVAL, "Not a regular file", path)
         resolved = os.path.realpath(path)
         try:
             st = os.stat(path)
@@ -323,9 +349,12 @@ def _atomic_write(files: Sequence[tuple[str, str | Iterable[str]]]) -> None:
             except OSError as exc:
                 raise OSError(exc.errno, exc.strerror, path) from None
             staged.append((tmp, target))
-            if mode is not None:
-                os.fchmod(fd, mode)
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                if mode is not None and stat.S_IMODE(os.fstat(fd).st_mode) != mode:
+                    try:
+                        os.fchmod(fd, mode)
+                    except OSError as exc:
+                        raise OSError(exc.errno, exc.strerror, path) from None
                 fh.writelines([text] if isinstance(text, str) else text)
         while staged:
             os.replace(*staged[0])

@@ -1234,6 +1234,20 @@ class TestOutputTargets:
         assert os.path.exists("fifo") and not os.path.isfile("fifo")
         assert sorted(os.listdir(box9)) == ["box9.grd", "fifo"]
 
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_a_report_through_a_descriptor_keeps_the_file_it_is_open_on(self, box9, capsys):
+        # `--report /dev/stdout >> log`, without touching /dev
+        Path("log").write_text("earlier\n")
+        fd = os.open("log", os.O_WRONLY | os.O_APPEND)
+        try:
+            os.symlink(f"/proc/{os.getpid()}/fd/{fd}", "stdout")
+            assert main([*self.SOLVE, "--report", "stdout"]) == 1
+        finally:
+            os.close(fd)
+        assert capsys.readouterr().err == "error: [Errno 22] Not a regular file: 'stdout'\n"
+        assert Path("log").read_text() == "earlier\n"
+        assert sorted(os.listdir(box9)) == ["box9.grd", "log", "stdout"]
+
     def test_a_0600_report_stays_0600(self, box9):
         Path("r.csv").write_text("old\n")
         os.chmod("r.csv", 0o600)

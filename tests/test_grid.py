@@ -704,3 +704,70 @@ class TestOutputTargets:
             os.close(w)
         assert str(info.value) == "[Errno 22] Not a regular file: 'out'"
         assert os.listdir(tmp_path) == ["out"]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    @pytest.mark.parametrize("via", ["link", "descriptor", "self", "directory-link"])
+    def test_a_descriptor_open_on_a_file_is_refused_and_the_file_kept(self, tmp_path, monkeypatch, via):
+        # the shape of `pardiff ... --report /dev/stdout >> log`: the descriptor's
+        # file is a regular file, but replacing it would lose what it holds
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "log").write_text("earlier\n")
+        fd = os.open(tmp_path / "log", os.O_WRONLY | os.O_APPEND)
+        try:
+            os.symlink(f"/proc/{os.getpid()}/fd/{fd}", "link")
+            os.symlink(f"/proc/{os.getpid()}/fd", "fds")
+            path = {"link": "link", "descriptor": f"/proc/{os.getpid()}/fd/{fd}",
+                    "self": f"/proc/self/fd/{fd}", "directory-link": f"fds/{fd}"}[via]
+            with pytest.raises(OSError) as info:
+                _atomic_write([("a.txt", "a\n"), (path, "b\n")])
+            os.write(fd, b"later\n")
+        finally:
+            os.close(fd)
+        assert str(info.value) == f"[Errno 22] Not a regular file: {path!r}"
+        assert (tmp_path / "log").read_text() == "earlier\nlater\n"
+        assert sorted(os.listdir(tmp_path)) == ["fds", "link", "log"]
+
+    def test_a_link_into_a_directory_named_fd_is_written(self, tmp_path):
+        # only a process's descriptor directory is refused, not any directory called fd
+        (tmp_path / "fd").mkdir()
+        os.symlink("fd/real.txt", tmp_path / "link.txt")
+        _atomic_write([(str(tmp_path / "link.txt"), "a\n")])
+        assert (tmp_path / "fd" / "real.txt").read_text() == "a\n"
+
+    def test_a_refused_chmod_names_the_target_and_leaves_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "a.txt"
+        path.write_text("old\n")
+        os.chmod(path, 0o600)
+
+        def refuse(fd, mode):
+            raise PermissionError(1, "Operation not permitted")
+
+        monkeypatch.setattr(os, "fchmod", refuse)
+        before = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+        with pytest.raises(OSError) as info:
+            _atomic_write([("a.txt", "new\n")])
+        assert str(info.value) == "[Errno 1] Operation not permitted: 'a.txt'"
+        assert path.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["a.txt"]
+        if before is not None:  # the temporary's descriptor was closed
+            assert len(os.listdir("/proc/self/fd")) == before
+
+    def test_a_target_with_the_temporarys_mode_needs_no_chmod(self, tmp_path, monkeypatch):
+        # a filesystem that refuses chmod still takes a write whose mode is already right
+        path = tmp_path / "a.txt"
+        path.write_text("old\n")
+        os.chmod(path, 0o666 & ~_umask())
+
+        def refuse(fd, mode):
+            raise PermissionError(1, "Operation not permitted")
+
+        monkeypatch.setattr(os, "fchmod", refuse)
+        _atomic_write([(str(path), "new\n")])
+        assert path.read_text() == "new\n"
+
+
+def _umask() -> int:
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
