@@ -702,6 +702,35 @@ class TestContiguousHalvesMatchMaskedReference:
         assert converged == (max_iter == 100_000)
 
 
+class TestSweepArraysAligned:
+    """Every working array of the sweep starts on a cache line, whatever malloc returned."""
+
+    @pytest.mark.parametrize("count", [1, 2, 7, 8, 129, 33025])
+    def test_aligned_empty(self, count):
+        for _ in range(8):
+            a = elliptic._aligned_empty(count)
+            assert a.shape == (count,) and a.dtype == np.float64
+            assert a.ctypes.data % elliptic._ALIGN == 0
+
+    @pytest.mark.parametrize("extents", HALVES_EXTENTS, ids=lambda e: "x".join(map(str, e)))
+    def test_halves_and_scratch(self, extents, monkeypatch):
+        colors = []
+
+        class Recorded(elliptic._Color):
+            def __init__(self, halves, *args):
+                super().__init__(halves, *args)
+                colors.append((halves, self))
+
+        monkeypatch.setattr(elliptic, "_Color", Recorded)
+        spec = GridSpec((0.0,) * len(extents), 1 / 16, extents)
+        f = GridFunction(spec, np.ones(extents))
+        solve_poisson_dirichlet(f, GridFunction(spec, np.zeros(extents)), max_iter=3)
+        assert len(colors) == 2
+        for halves, color in colors:
+            for a in (*halves, color.b, color.ns, color.tmp):
+                assert a.ctypes.data % elliptic._ALIGN == 0
+
+
 class TestBiharmonicSolver:
     def test_quadratic_exact_through_both_stages(self):
         spec = GridSpec((0.0, 0.0), 1 / 16, (17, 17))
