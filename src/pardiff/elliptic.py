@@ -9,7 +9,11 @@ optimum for the box).  The grid is padded to odd strides and split into its
 even and odd flat indices, so each color and each of its neighbour shifts is
 one contiguous slice of one half, and the neighbour sums one half-sweep
 computes are reused for the residual and the next half-sweep, since they
-read only the other color.  A sweep that overflows on an interior node
+read only the other color.  The convergence check takes the full residual
+only when a window of it is already at or below the tolerance, and a
+periodic magnitude check proves that no skipped residual could have
+overflowed, so iterates, iteration counts and final residuals are those of a
+full check on every iteration.  A sweep that overflows on an interior node
 raises ``OverflowError``.  The forward-shifted operator remains available
 through the stencil module for verification of the difference equations
 themselves.
@@ -316,6 +320,39 @@ def _sor_dirichlet(
     computed and then overwritten with the saved values, and may overflow
     without harm.  An interior residual that is not finite raises
     ``OverflowError``.
+
+    Each iteration relaxes red, sums and relaxes black, sums red and then
+    checks convergence.  The relaxation divides by 2n, or multiplies by
+    ``1 / 2n`` when 2n is a power of two (dimensions 1, 2, 4 and 8): both
+    round the same real number, so they give the same bits.  The check
+    first takes the residual on a window of black
+    (:meth:`_Color.window_residual`).  Its entries are entries of the full
+    residual, so its maximum is a lower bound of the full one; when that
+    bound times the scale is above ``tol`` the iteration cannot converge and
+    the full residual of both colors is skipped.  It is taken on every
+    iteration the window does not rule out, and always on iteration
+    ``max_iter``, so ``iterations``, ``final_residual`` and ``converged``
+    are those of a full check on every iteration.  The skip decision sits in
+    one place, where a caller that needs the full residual on some
+    iterations can force it.
+
+    A skip must not hide a residual that is not finite, so it is allowed
+    only while a certificate holds.  At iterations 1, 1 + K, 1 + 2K, ...
+    (K = ``_GUARD_SWEEPS`` = 32) every entry of both halves, ring and pad
+    included, is checked to be at most T = ``_GUARD_BOUND`` = 2^800 in
+    magnitude, and every entry of ``b = h^2 f`` once.  Over the K
+    iterations that follow, no value can then overflow.  With m the largest
+    ``|u|`` before a relaxation, B = max ``|b|``, ``|ns| <= 2n m`` and
+    ``1 <= omega < 2``, one relaxation gives ``|(1 - omega) u + omega (ns -
+    b) / 2n| <= m + 2 (m + B / 2n) <= 3 m + B``, up to a rounding factor of
+    at most ``(1 + 2^-53)^(2n + 6)``.  K iterations are 2K = 64 relaxations,
+    so every ``|u|`` stays below ``3^64 (T + T)`` times a rounding factor
+    under 1.001, which is below ``2^102 2^801 1.001 < 2^904``: n is at most
+    15, since every axis has at least 3 nodes and a grid at most 2^24 <
+    3^16.  A neighbour sum and ``2n u`` then stay below ``30 2^904``, and a
+    residual entry below ``2^911``, far from the largest double (about
+    2^1024).  A failed check, a NaN, or a ``b`` past T takes the full
+    residual on every iteration until a later check passes.
     """
     spec = boundary.spec
     h = spec.h
@@ -356,16 +393,33 @@ def _sor_dirichlet(
     omega = 2.0 / (1.0 + math.sin(math.pi * h / length))
     # 0-d arrays: numpy combines them with arrays faster than Python floats
     two_n, w, keep = np.array(2.0 * n), np.array(omega), np.array(1.0 - omega)
+    # x / 2n and x * (1 / 2n) round the same real number when 2n is a power of two
+    if math.frexp(2.0 * n)[0] == 0.5:
+        scale = (np.multiply, np.array(1.0 / (2.0 * n)))
+    else:
+        scale = (np.divide, two_n)
+    small_rhs = b is None or _magnitude_at_most((b,), _GUARD_BOUND)
 
     iterations = 0
     residual = math.inf
+    certified = False
     with np.errstate(over="ignore", invalid="ignore"):
         red.neighbor_sum()
         for iterations in range(1, max_iter + 1):
-            red.relax(two_n, w, keep)
+            if (iterations - 1) % _GUARD_SWEEPS == 0:
+                certified = small_rhs and _magnitude_at_most(halves, _GUARD_BOUND)
+            red.relax(scale, w, keep)
             black.neighbor_sum()
-            black.relax(two_n, w, keep)
+            black.relax(scale, w, keep)
             red.neighbor_sum()
+            # The only place that skips the full residual: a caller that needs
+            # it on some iterations forces it here.
+            if (
+                certified
+                and iterations < max_iter
+                and black.window_residual(two_n) * residual_scale > tol
+            ):
+                continue
             largest = (red.residual(two_n), black.residual(two_n))
             if not all(map(math.isfinite, largest)):
                 raise OverflowError(f"SOR sweep overflows at iteration {iterations}")
@@ -382,6 +436,25 @@ def _sor_dirichlet(
 
 
 _ZERO = np.array(0.0)
+
+# Sweeps between two checks of the overflow certificate, and the magnitude
+# bound the check asks of every entry; see _sor_dirichlet.
+_GUARD_SWEEPS = 32
+_GUARD_BOUND = 2.0**800
+
+# Smallest window of a color whose residual screens the full residual, and the
+# share of the color's nodes it covers when that is more.
+_WINDOW_NODES = 256
+_WINDOW_SHARE = 16
+
+
+def _magnitude_at_most(arrays: Sequence[np.ndarray], bound: float) -> bool:
+    """Whether no entry of ``arrays`` exceeds ``bound`` in magnitude; False on a NaN.
+
+    Plain max and min reductions, so no BLAS call and no temporary array.
+    """
+    return all(-bound <= a.min() and a.max() <= bound for a in arrays)
+
 
 # Byte boundary every working array of the sweep starts on.  Its vector loops
 # run about a fifth slower when an array starts off a 64-byte cache line, and
@@ -426,6 +499,13 @@ class _Color:
     covers ring and pad nodes: ``relax`` updates them with the rest and then
     writes their saved values back through the index array ``outside``, and
     ``residual`` zeroes their entries before taking the maximum.
+
+    ``window`` is the contiguous middle run of about a sixteenth of the
+    color's nodes, and at least ``_WINDOW_NODES`` of them (all, on a small
+    grid); ``window_outside`` indexes its ring and pad entries.
+    :meth:`window_residual` computes the entries of :meth:`residual` on it
+    alone, with the same elementwise formula, so its maximum is never above
+    the full one.
     """
 
     def __init__(
@@ -451,6 +531,10 @@ class _Color:
         self.fixed = self.u[self.outside]
         self.ns = _aligned_empty(count)
         self.tmp = _aligned_empty(count)
+        size = min(count, max(_WINDOW_NODES, count // _WINDOW_SHARE))
+        lo = (count - size) // 2
+        self.window = slice(lo, lo + size)
+        self.window_outside = self.outside[(self.outside >= lo) & (self.outside < lo + size)] - lo
 
     def neighbor_sum(self) -> None:
         (up, dn), *rest = self.pairs
@@ -461,13 +545,17 @@ class _Color:
             np.add(up, dn, out=self.tmp)
             self.ns += self.tmp
 
-    def relax(self, two_n: np.ndarray, omega: np.ndarray, keep: np.ndarray) -> None:
-        """``u = keep u + omega (ns - b) / 2n`` on the interior, with ``keep = 1 - omega``."""
-        if self.b is None:
-            t = np.divide(self.ns, two_n, out=self.tmp)
-        else:
-            t = np.subtract(self.ns, self.b, out=self.tmp)
-            t /= two_n
+    def relax(
+        self, scale: tuple[Callable, np.ndarray], omega: np.ndarray, keep: np.ndarray
+    ) -> None:
+        """``u = keep u + omega (ns - b) / 2n`` on the interior, with ``keep = 1 - omega``.
+
+        ``scale`` is ``(np.divide, 2n)``, or ``(np.multiply, 1 / 2n)`` when
+        that gives the same bits.
+        """
+        op, factor = scale
+        t = self.ns if self.b is None else np.subtract(self.ns, self.b, out=self.tmp)
+        t = op(t, factor, out=self.tmp)
         t *= omega
         self.u *= keep
         self.u += t
@@ -475,11 +563,23 @@ class _Color:
 
     def residual(self, two_n: np.ndarray) -> float:
         """The largest ``|ns - 2n u - b|`` over the interior nodes of this color."""
-        r = np.multiply(self.u, two_n, out=self.tmp)
-        np.subtract(self.ns, r, out=r)
+        return self._largest_residual(two_n, slice(None), self.outside)
+
+    def window_residual(self, two_n: np.ndarray) -> float:
+        """The largest ``|ns - 2n u - b|`` over the interior nodes of ``window``.
+
+        Each entry is the one :meth:`residual` computes, so this is never
+        above it.
+        """
+        return self._largest_residual(two_n, self.window, self.window_outside)
+
+    def _largest_residual(self, two_n: np.ndarray, nodes: slice, outside: np.ndarray) -> float:
+        u = self.u[nodes]
+        r = np.multiply(u, two_n, out=self.tmp[: len(u)])
+        np.subtract(self.ns[nodes], r, out=r)
         if self.b is not None:
-            r -= self.b
-        r[self.outside] = 0.0
+            r -= self.b[nodes]
+        r[outside] = 0.0
         return float(np.abs(r, out=r).max(initial=0.0))
 
 

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from pardiff import elliptic
 from pardiff.elliptic import (
@@ -700,6 +701,203 @@ class TestContiguousHalvesMatchMaskedReference:
             iterations, final_residual, converged
         )
         assert converged == (max_iter == 100_000)
+
+
+def _ring_problem(extents, ring):
+    """The boundary and Poisson right-hand side of one TestSweepMatchesMaskedReference case."""
+    rng = np.random.default_rng(sum(extents) + 100 * len(extents))
+    spec = GridSpec((0.0,) * len(extents), 1 / 8, extents)
+    interior = tuple(slice(1, -1) for _ in extents)
+    if ring == "random":
+        values = rng.standard_normal(extents)
+        values[rng.random(extents) < 0.2] = -0.0
+        values[interior] = 0.0
+    else:
+        values = np.full(extents, -0.0)
+        inner = values[interior]
+        inner[np.indices(inner.shape).sum(axis=0) % 2 == 0] = 0.0
+    return GridFunction(spec, values), GridFunction(spec, rng.standard_normal(extents))
+
+
+def _solve(boundary, f, tol, max_iter):
+    if f is None:
+        return solve_laplace_dirichlet(boundary, tol=tol, max_iter=max_iter)
+    return solve_poisson_dirichlet(f, boundary, tol=tol, max_iter=max_iter)
+
+
+def _never_skip(monkeypatch):
+    """Make the screen's probe report a zero residual, so every sweep takes the full residual."""
+    monkeypatch.setattr(elliptic._Color, "window_residual", lambda self, two_n: 0.0)
+
+
+def _count_full_residuals(monkeypatch):
+    """Count the calls of the full residual, one per color of each sweep that takes it."""
+    calls = []
+    full = elliptic._Color.residual
+
+    def counted(self, two_n):
+        calls.append(1)
+        return full(self, two_n)
+
+    monkeypatch.setattr(elliptic._Color, "residual", counted)
+    return calls
+
+
+def _assert_same_solve(report, values, iterations, final_residual, converged):
+    got = report.solution.values
+    assert np.array_equal(got.view(np.uint64), values.view(np.uint64))
+    assert (report.iterations, report.final_residual, report.converged) == (
+        iterations, final_residual, converged
+    )
+
+
+def _cold_box(n):
+    """exp(x1) sin(x2) on the ring of the unit square at n^2 nodes, zero inside."""
+    return zero_interior(sample("exp(x1)*sin(x2)", GridSpec((0.0, 0.0), 1 / (n - 1), (n, n))))
+
+
+# Grids whose black window is a strict part of the color, with ring and pad
+# entries inside it from two dimensions on.
+WINDOWED_EXTENTS = [(601,), (40, 37), (13, 12, 11), (7, 6, 7, 6)]
+
+
+class TestScreenedConvergenceCheck:
+    """Skipping the full residual where a window of it is above the tolerance changes no bit."""
+
+    @pytest.mark.parametrize(
+        "extents", SWEEP_EXTENTS + WINDOWED_EXTENTS, ids=lambda e: "x".join(map(str, e))
+    )
+    @pytest.mark.parametrize("ring", ["random", "negative-zero"])
+    @pytest.mark.parametrize("rhs", [False, True], ids=["laplace", "poisson"])
+    @pytest.mark.parametrize("max_iter", [1, 2, 3, 37, 100_000])
+    def test_same_solve_as_the_full_residual_on_every_sweep(
+        self, extents, ring, rhs, max_iter, monkeypatch
+    ):
+        boundary, f = _ring_problem(extents, ring)
+        f = f if rhs else None
+        screened = _solve(boundary, f, 1e-10, max_iter)
+        _never_skip(monkeypatch)
+        full = _solve(boundary, f, 1e-10, max_iter)
+        _assert_same_solve(
+            screened, full.solution.values, full.iterations, full.final_residual, full.converged
+        )
+
+    @pytest.mark.parametrize("extents", WINDOWED_EXTENTS, ids=lambda e: "x".join(map(str, e)))
+    def test_windowed_cases_probe_part_of_black(self, extents, monkeypatch):
+        colors = []
+
+        class Recorded(elliptic._Color):
+            def __init__(self, *args):
+                super().__init__(*args)
+                colors.append(self)
+
+        monkeypatch.setattr(elliptic, "_Color", Recorded)
+        boundary, _ = _ring_problem(extents, "random")
+        solve_laplace_dirichlet(boundary, max_iter=1)
+        black = colors[1]
+        assert 0 < black.window.start < black.window.stop < len(black.u)
+        assert (len(black.window_outside) > 0) == (len(extents) > 1)
+
+    def test_cold_box_matches_reference_with_few_full_residuals(self, monkeypatch):
+        boundary = _cold_box(129)
+        calls = _count_full_residuals(monkeypatch)
+        report = solve_laplace_dirichlet(boundary)
+        _assert_same_solve(report, *_masked_sor_reference(boundary, None, 1e-10, 100_000, 1.0))
+        assert report.converged and report.iterations > 400
+        # two calls per sweep that takes the full residual: at most 2% of sweeps take it
+        assert 0 < len(calls) <= 2 * 0.02 * report.iterations
+
+    def test_window_is_a_lower_bound_inside_the_color(self, monkeypatch):
+        windows = []
+
+        class Recorded(elliptic._Color):
+            def window_residual(self, two_n):
+                windows.append((super().window_residual(two_n), self.residual(two_n)))
+                return windows[-1][0]
+
+        monkeypatch.setattr(elliptic, "_Color", Recorded)
+        solve_laplace_dirichlet(_cold_box(65), max_iter=40)
+        assert len(windows) == 39
+        assert all(0.0 < part <= whole for part, whole in windows)
+
+
+class TestOverflowCertificate:
+    """Values past the certificate's bound take the full residual on every sweep."""
+
+    @pytest.mark.parametrize(
+        "extents", [(9, 9), (33, 17), (5, 6, 7)], ids=lambda e: "x".join(map(str, e))
+    )
+    @pytest.mark.parametrize(
+        "ring, source, certified",
+        [(1e240, 0.0, True), (1e250, 0.0, False), (1e300, 0.0, False), (1.0, 1e245, False)],
+        ids=["ring-1e240", "ring-1e250", "ring-1e300", "rhs-1e245"],
+    )
+    @pytest.mark.parametrize("max_iter", [1, 37, 70])
+    def test_large_values_match_reference(
+        self, extents, ring, source, certified, max_iter, monkeypatch
+    ):
+        rng = np.random.default_rng(len(extents) + max_iter)
+        spec = GridSpec((0.0,) * len(extents), 1 / 8, extents)
+        boundary = zero_interior(GridFunction(spec, ring * rng.uniform(0.5, 1.0, extents)))
+        f = GridFunction(spec, source * rng.uniform(-1.0, 1.0, extents)) if source else None
+        if f is not None:
+            # h^2 f, the right-hand side the sweep relaxes with, is past the bound
+            assert np.abs(spec.h**2 * f.values).max() > elliptic._GUARD_BOUND
+        calls = _count_full_residuals(monkeypatch)
+        report = _solve(boundary, f, 1e-10, max_iter)
+        if f is None:
+            expected = _masked_sor_reference(boundary, None, 1e-10, max_iter, 1.0)
+        else:
+            expected = _masked_sor_reference(boundary, f.values, 1e-10, max_iter, 1 / spec.h**2)
+        _assert_same_solve(report, *expected)
+        assert not report.converged
+        assert (len(calls) < 2 * max_iter) == (certified and max_iter > 1)
+
+    def test_overflow_after_the_first_sweep_names_the_same_iteration(self, monkeypatch):
+        # The interior fills up towards the ring's value, and four times it
+        # is past the largest double.
+        spec = GridSpec((0.0, 0.0), 1 / 8, (9, 9))
+        boundary = zero_interior(GridFunction(spec, np.full((9, 9), 4.5e307)))
+        messages = []
+        for patch in (lambda _: None, _never_skip):
+            patch(monkeypatch)
+            with pytest.raises(OverflowError) as err:
+                solve_laplace_dirichlet(boundary, tol=1e-10, max_iter=100)
+            messages.append(str(err.value))
+        assert messages == ["SOR sweep overflows at iteration 9"] * 2
+
+
+class TestReciprocalMultiply:
+    """``x * (1 / 2n)`` has the bits of ``x / 2n`` when 2n is a power of two."""
+
+    BITS = st.one_of(
+        st.integers(0, 2**64 - 1),
+        st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True).map(
+            lambda x: int(np.float64(x).view(np.uint64))
+        ),
+    )
+
+    @pytest.mark.parametrize("two_n", [2.0, 4.0, 8.0, 16.0])
+    @given(bits=BITS)
+    @example(bits=0)
+    @example(bits=2**63)  # -0.0
+    @example(bits=1)  # the smallest subnormal
+    @example(bits=2**63 + 7)
+    @example(bits=0x7FF0000000000000)  # inf
+    @example(bits=0xFFF0000000000000)  # -inf
+    @example(bits=0x7FF0000000000001)  # a signalling NaN
+    def test_same_bits_as_division(self, two_n, bits):
+        x = np.array([bits], dtype=np.uint64).view(np.float64)
+        assert math.frexp(two_n)[0] == 0.5
+        with np.errstate(all="ignore"):
+            product = np.multiply(x, np.array(1.0 / two_n))
+            quotient = np.divide(x, np.array(two_n))
+        assert product.view(np.uint64)[0] == quotient.view(np.uint64)[0]
+
+    def test_six_is_not_a_power_of_two(self):
+        x = np.array(5.0)
+        assert math.frexp(6.0)[0] != 0.5
+        assert x * (1.0 / 6.0) != x / 6.0
 
 
 class TestSweepArraysAligned:
