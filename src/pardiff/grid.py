@@ -218,26 +218,72 @@ def _lattice_offset(source: GridSpec, target: GridSpec) -> tuple[int, ...] | Non
     return offset
 
 
+def _fast_length(n: int) -> int:
+    """The smallest ``2^a 3^b 5^c`` that is at least ``n``: a length numpy's FFT transforms fast."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            m = p35
+            while m < n:
+                m *= 2
+            best = min(best, m)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _cyclic_convolve(x: np.ndarray, y: np.ndarray, lengths: tuple[int, ...]) -> np.ndarray:
+    """The cyclic convolution of ``x`` and ``y``, each zero-padded to ``lengths``."""
+    axes = tuple(range(x.ndim))
+    return np.fft.irfftn(np.fft.rfftn(x, lengths, axes) * np.fft.rfftn(y, lengths, axes), lengths, axes)
+
+
+def _box_count(nonzero: np.ndarray, box: tuple[int, ...]) -> np.ndarray:
+    """Nonzeros of ``nonzero`` in every window of shape ``box`` that lies inside it, exactly.
+
+    One running sum and one difference per axis, in integers.
+    """
+    count = nonzero.astype(np.intp)
+    for axis, b in enumerate(box):
+        run = np.cumsum(count, axis=axis)
+        lead = (slice(None),) * axis
+        count = run[lead + (slice(b - 1, None),)].copy()
+        count[lead + (slice(1, None),)] -= run[lead + (slice(None, -b),)]
+    return count
+
+
 def _valid_convolve(a: np.ndarray, k: np.ndarray) -> np.ndarray:
     """``out[m] = sum_j k[j] a[m + K-1 - j]`` wherever every tap of ``k`` lies inside ``a``.
 
-    One cyclic FFT convolution on ``a``'s shape: its wrap-around lands below
-    index ``K-1``, outside the window read back.  Where no nonzero of ``k``
-    meets a nonzero of ``a`` the result is an exact 0; the same convolution of
-    the two nonzero indicators counts the pairs that meet, and integer counts
-    make ``count < 0.5`` an exact test.  Both operands are scaled to a largest
-    magnitude in [1/2, 1) by powers of two, which leaves every rounding as it
-    is and keeps the FFT's sums finite for data near the overflow threshold.
+    One cyclic FFT convolution with each axis of length N zero-padded to
+    ``_fast_length(N)``: a cyclic length of at least N puts the wrap-around
+    below index ``K-1``, outside the window ``[K-1, N)`` read back.  Both
+    operands are scaled to a largest magnitude in [1/2, 1) by powers of two,
+    which leaves every rounding as it is and keeps the FFT's sums finite for
+    data near the overflow threshold.
+
+    Where no nonzero of ``k`` meets a nonzero of ``a`` the result is an exact
+    0 (``-0.0`` counts as a zero).  When ``a`` has no zero, every node meets
+    all of ``k``'s nonzeros, so only an all-zero ``k`` forces zeros.  When
+    ``k`` has no zero, a node's pairs are the nonzeros of ``a`` in its window,
+    an exact integer box sum.  Only when both hold a zero does a second FFT,
+    of the two nonzero indicators, count the pairs; its counts are integers
+    up to rounding, so ``count < 0.5`` is an exact test.
     """
-    shape, axes = a.shape, tuple(range(a.ndim))
+    lengths = tuple(_fast_length(n) for n in a.shape)
+    window = tuple(slice(ks - 1, n) for ks, n in zip(k.shape, a.shape))
     ea, ek = (np.frexp(np.abs(x).max())[1] for x in (a, k))
-    out, count = (
-        np.fft.irfftn(np.fft.rfftn(x, shape, axes) * np.fft.rfftn(y, shape, axes), shape, axes)
-        for x, y in ((np.ldexp(a, -ea), np.ldexp(k, -ek)), (a != 0.0, k != 0.0))
-    )
-    window = tuple(slice(ks - 1, None) for ks in k.shape)
-    out = np.ldexp(out[window], ea + ek)
-    out[count[window] < 0.5] = 0.0
+    out = np.ldexp(_cyclic_convolve(np.ldexp(a, -ea), np.ldexp(k, -ek), lengths)[window], ea + ek)
+    a_nonzero = a != 0.0
+    if a_nonzero.all():
+        if not k.any():
+            out[...] = 0.0
+    elif (k != 0.0).all():
+        out[_box_count(a_nonzero, k.shape) == 0] = 0.0
+    else:
+        out[_cyclic_convolve(a_nonzero, k != 0.0, lengths)[window] < 0.5] = 0.0
     return out
 
 

@@ -60,9 +60,9 @@ class MollifierKernel:
     """A sampled, normalized smoothing kernel with support radius ``eps``.
 
     ``samples`` covers [-eps, eps]^dim on a lattice of pitch ``spacing``
-    centered at the origin.  ``mass`` is the discrete integral (1 after
-    normalization); ``normalization`` is the integral of the unscaled profile
-    over the unit box, used during construction.
+    centered at the origin.  ``mass`` is the discrete integral (1 to within
+    rounding after normalization); ``normalization`` is the integral of the
+    unscaled profile over the unit box, used during construction.
     """
 
     dim: int
@@ -124,9 +124,10 @@ def make_mollifier(dim: int, eps: float, spacing: float, refine: int = 8) -> Mol
 
     ``refine`` is the number of quadrature subsamples per lattice cell used
     for the normalization integral, whose ``panels**dim`` points may not
-    exceed ``MAX_QUADRATURE_POINTS``.  The discrete mass is renormalized to
-    exactly 1; a pre-normalization mass off by more than 10% means the lattice
-    under-resolves the kernel and is an error, as is ``eps < spacing``.
+    exceed ``MAX_QUADRATURE_POINTS``.  The discrete mass is renormalized to 1
+    to within rounding (an ulp or two); a pre-normalization mass off by more
+    than 10% means the lattice under-resolves the kernel and is an error, as
+    is ``eps < spacing``.
     """
     if dim < 1:
         raise ValueError(f"dimension must be at least 1, got {dim}")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+import pardiff.grid as grid_module
 from pardiff import elliptic
 from pardiff.elliptic import (
     FundamentalSolution,
@@ -292,10 +293,12 @@ ON_LATTICE = {
     "2d-overlapping": (SOURCE_2D, (10, -5), (12, 9)),
     "2d-outside": (SOURCE_2D, (-30, 20), (5, 11)),
     "2d-single-node": (SOURCE_2D, (8, 6), (1, 1)),
+    "2d-prime-table": (SOURCE_2D, (-4, 7), (15, 19)),  # a 31 x 31 kernel table
     "3d-same-grid": (SOURCE_3D, (0, 0, 0), (9, 9, 7)),
     "3d-overlapping": (SOURCE_3D, (5, -3, 2), (6, 4, 7)),
     "3d-outside": (SOURCE_3D, (12, 0, -9), (3, 5, 2)),
     "3d-single-node": (SOURCE_3D, (4, 4, 3), (1, 1, 1)),
+    "3d-prime-table": (SOURCE_3D, (2, -6, 1), (5, 3, 7)),  # a 13 x 11 x 13 kernel table
 }
 
 
@@ -311,6 +314,28 @@ class TestPotentialPaths:
         monkeypatch.setattr(elliptic, "_direct_potential", _forbidden)
         u = newtonian_potential(fs, f, targets).values
         assert np.abs(u).max() > 0.0
+        assert np.abs(u - reference).max() <= 1e-13 * max(1.0, np.abs(u).max())
+
+    @pytest.mark.parametrize("case", [c for c in ON_LATTICE if c.startswith("3d")])
+    def test_zero_free_3d_table_needs_no_indicator_transform(self, case, monkeypatch):
+        # r^(2-n) has no zero, so no node can lack a pair and the mask needs no FFT
+        spec, cells, extents = ON_LATTICE[case]
+        f = compact_poly_bump(spec, 0.6)
+        assert (f.values == 0.0).any()
+        fs = FundamentalSolution(spec.dim)
+        origin = tuple(o + k * spec.h for o, k in zip(spec.origin, cells))
+        targets = GridSpec(origin, spec.h, extents)
+        reference = _pairwise_potential(fs, f, _target_points(targets), 8).reshape(extents)
+        cyclic = grid_module._cyclic_convolve
+
+        def value_transform_only(x, y, lengths):
+            if x.dtype == bool:
+                raise AssertionError("the exact-zero mask took the indicator FFT")
+            return cyclic(x, y, lengths)
+
+        monkeypatch.setattr(grid_module, "_cyclic_convolve", value_transform_only)
+        monkeypatch.setattr(elliptic, "_direct_potential", _forbidden)
+        u = newtonian_potential(fs, f, targets).values
         assert np.abs(u - reference).max() <= 1e-13 * max(1.0, np.abs(u).max())
 
     @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import stat
@@ -217,6 +218,20 @@ class TestRestrict:
         u = sample("x1", GridSpec((0.0,), 0.5, (5,)))
         with pytest.raises(ValueError, match="incompatible"):
             restrict(u, GridSpec((1.5, ), 0.5, (4,)))
+
+
+def test_fast_length_is_the_next_5_smooth_number():
+    def smooth(m):
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        return m == 1
+
+    expected = 1
+    for n in range(1, 4097):
+        if expected < n:
+            expected = next(m for m in itertools.count(n) if smooth(m))
+        assert grid_module._fast_length(n) == expected, n
 
 
 class TestGridFiles:

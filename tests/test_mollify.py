@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -5,7 +6,8 @@ import numpy as np
 import pytest
 
 import pardiff.mollify as mollify_module
-from pardiff.grid import GridFunction, GridSpec, restrict, sample, shrink
+import pardiff.grid as grid_module
+from pardiff.grid import GridFunction, GridSpec, _valid_convolve, restrict, sample, shrink
 from pardiff.mollify import (
     MAX_QUADRATURE_POINTS,
     MollifierError,
@@ -65,6 +67,20 @@ class TestMakeMollifier:
     def test_mass_exactly_one_after_normalization(self):
         k = make_mollifier(2, 0.25, 1 / 16, 8)
         assert abs(k.mass - 1.0) <= 1e-12
+
+    def test_mass_is_one_to_within_rounding(self):
+        # the renormalized samples are summed and scaled again, which may leave
+        # the mass an ulp or two from 1 (1 + 2^-52 at dim 1, eps 1, h 1/4)
+        built = []
+        for dim, eps, spacing in itertools.product(
+            (1, 2, 3), (0.3, 0.5, 0.75, 1.0), (1 / 4, 1 / 10, 1 / 16, 1 / 32)
+        ):
+            try:
+                built.append(make_mollifier(dim, eps, spacing))
+            except MollifierError:  # under-resolved, or past the quadrature limit
+                continue
+        assert len(built) == 40
+        assert max(abs(k.mass - 1.0) for k in built) <= 4 * 2.0**-52
 
     def test_normalization_against_fine_quadrature_oracle(self):
         k = make_mollifier(1, 0.25, 1 / 64, refine=64)
@@ -371,6 +387,11 @@ class TestFFTConvolutionAgainstTapLoop:
         ((30, 27), 1 / 16, 0.5, 0.002),
         ((13, 11, 12), 1 / 8, 0.25, 1.0),
         ((14, 12, 13), 1 / 8, 0.375, 0.02),
+        # prime extents, padded to the next 2^a 3^b 5^c length
+        ((257,), 1 / 256, 0.125, 0.3),
+        ((31, 37), 1 / 8, 0.25, 1.0),
+        ((31, 37), 1 / 8, 0.375, 0.05),
+        ((17, 19, 23), 1 / 8, 0.25, 0.1),
     ]
 
     @staticmethod
@@ -435,3 +456,72 @@ class TestFFTConvolutionAgainstTapLoop:
         with np.errstate(over="raise", invalid="raise"):
             out = convolve(f, k).values
         assert_matches_tap_loop(out, f.values, k.samples.values, 1.0)
+
+
+def _indicator_transform_forbidden(monkeypatch):
+    """Patch the FFT of the two nonzero indicators to fail; the value FFT still runs."""
+    cyclic = grid_module._cyclic_convolve
+
+    def value_transform_only(x, y, lengths):
+        if x.dtype == bool:
+            raise AssertionError("the exact-zero mask took the indicator FFT")
+        return cyclic(x, y, lengths)
+
+    monkeypatch.setattr(grid_module, "_cyclic_convolve", value_transform_only)
+
+
+class TestExactZeroMaskWithoutTheIndicatorTransform:
+    """Each mask branch against the tap loop, with the indicator FFT patched to fail."""
+
+    CASES = [((257,), 1 / 256, 0.125), ((31, 37), 1 / 8, 0.25), ((17, 19, 23), 1 / 8, 0.25)]
+
+    @pytest.mark.parametrize("extents,h,eps", CASES)
+    def test_zero_free_data(self, extents, h, eps, monkeypatch):
+        _indicator_transform_forbidden(monkeypatch)
+        k = make_mollifier(len(extents), eps, h, 4)
+        for seed in range(3):
+            f = TestFFTConvolutionAgainstTapLoop.grid(extents, h, 1.0, seed)
+            assert (f.values != 0.0).all()
+            assert_matches_tap_loop(convolve(f, k).values, f.values, k.samples.values, h ** len(extents))
+
+    @pytest.mark.parametrize("extents,taps", [((257,), (9,)), ((31, 37), (4, 5)), ((17, 19, 23), (3, 4, 2))])
+    def test_zero_free_kernel_on_sparse_data(self, extents, taps, monkeypatch):
+        _indicator_transform_forbidden(monkeypatch)
+        rng = np.random.default_rng(len(extents))
+        kernel = rng.uniform(0.5, 1.5, taps) * rng.choice([-1.0, 1.0], taps)
+        values = TestFFTConvolutionAgainstTapLoop.grid(extents, 1.0, 0.05, 3).values
+        assert np.signbit(values[values == 0.0]).any() and (~np.signbit(values[values == 0.0])).any()
+        out = _valid_convolve(values, kernel)
+        assert (out == 0.0).any() and (out != 0.0).any()
+        assert_matches_tap_loop(out, values, kernel, 1.0)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_zero_kernel_on_zero_free_data(self, dim, monkeypatch):
+        # the FFT of a kernel of signed zeros leaves -0.0 in the window; the mask clears it
+        _indicator_transform_forbidden(monkeypatch)
+        rng = np.random.default_rng(dim)
+        for _ in range(5):
+            values = rng.standard_normal((9,) * dim)
+            assert (values != 0.0).all()
+            kernel = np.where(rng.random((3,) * dim) < 0.5, -0.0, 0.0)
+            out = _valid_convolve(values, kernel)
+            assert out.shape == (7,) * dim and (out == 0.0).all() and not np.signbit(out).any()
+
+    @pytest.mark.parametrize("extents,h,eps,density", TestFFTConvolutionAgainstTapLoop.CASES)
+    def test_indicator_transform_runs_when_both_hold_a_zero(self, extents, h, eps, density, monkeypatch):
+        kinds = []
+        cyclic = grid_module._cyclic_convolve
+
+        def spy(x, y, lengths):
+            kinds.append(x.dtype == bool)
+            return cyclic(x, y, lengths)
+
+        monkeypatch.setattr(grid_module, "_cyclic_convolve", spy)
+        k = make_mollifier(len(extents), eps, h, 4)
+        f = TestFFTConvolutionAgainstTapLoop.grid(extents, h, density, 5)
+        f_zero = f.values.copy()
+        f_zero.reshape(-1)[0] = 0.0  # a zero even in dense data
+        f = GridFunction(f.spec, f_zero)
+        out = convolve(f, k).values
+        assert kinds == [False, True]
+        assert_matches_tap_loop(out, f.values, k.samples.values, h ** len(extents))
