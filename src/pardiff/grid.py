@@ -240,20 +240,6 @@ def _cyclic_convolve(x: np.ndarray, y: np.ndarray, lengths: tuple[int, ...]) -> 
     return np.fft.irfftn(np.fft.rfftn(x, lengths, axes) * np.fft.rfftn(y, lengths, axes), lengths, axes)
 
 
-def _box_count(nonzero: np.ndarray, box: tuple[int, ...]) -> np.ndarray:
-    """Nonzeros of ``nonzero`` in every window of shape ``box`` that lies inside it, exactly.
-
-    One running sum and one difference per axis, in integers.
-    """
-    count = nonzero.astype(np.intp)
-    for axis, b in enumerate(box):
-        run = np.cumsum(count, axis=axis)
-        lead = (slice(None),) * axis
-        count = run[lead + (slice(b - 1, None),)].copy()
-        count[lead + (slice(1, None),)] -= run[lead + (slice(None, -b),)]
-    return count
-
-
 def _valid_convolve(a: np.ndarray, k: np.ndarray) -> np.ndarray:
     """``out[m] = sum_j k[j] a[m + K-1 - j]`` wherever every tap of ``k`` lies inside ``a``.
 
@@ -266,11 +252,10 @@ def _valid_convolve(a: np.ndarray, k: np.ndarray) -> np.ndarray:
 
     Where no nonzero of ``k`` meets a nonzero of ``a`` the result is an exact
     0 (``-0.0`` counts as a zero).  When ``a`` has no zero, every node meets
-    all of ``k``'s nonzeros, so only an all-zero ``k`` forces zeros.  When
-    ``k`` has no zero, a node's pairs are the nonzeros of ``a`` in its window,
-    an exact integer box sum.  Only when both hold a zero does a second FFT,
-    of the two nonzero indicators, count the pairs; its counts are integers
-    up to rounding, so ``count < 0.5`` is an exact test.
+    all of ``k``'s nonzeros, so only an all-zero ``k`` forces zeros.
+    Otherwise a second FFT, of the two nonzero indicators, counts the pairs;
+    its counts are integers up to rounding, so ``count < 0.5`` is an exact
+    test.
     """
     lengths = tuple(_fast_length(n) for n in a.shape)
     window = tuple(slice(ks - 1, n) for ks, n in zip(k.shape, a.shape))
@@ -280,8 +265,6 @@ def _valid_convolve(a: np.ndarray, k: np.ndarray) -> np.ndarray:
     if a_nonzero.all():
         if not k.any():
             out[...] = 0.0
-    elif (k != 0.0).all():
-        out[_box_count(a_nonzero, k.shape) == 0] = 0.0
     else:
         out[_cyclic_convolve(a_nonzero, k != 0.0, lengths)[window] < 0.5] = 0.0
     return out

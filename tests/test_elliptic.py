@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-import pardiff.grid as grid_module
 from pardiff import elliptic
 from pardiff.elliptic import (
     FundamentalSolution,
@@ -304,7 +303,7 @@ ON_LATTICE = {
 
 class TestPotentialPaths:
     @pytest.mark.parametrize("case", list(ON_LATTICE))
-    def test_fft_matches_direct_sum(self, case, monkeypatch):
+    def test_fft_matches_direct_sum(self, case, monkeypatch, forbid_indicator_transform):
         spec, cells, extents = ON_LATTICE[case]
         f = compact_poly_bump(spec, 0.6)
         fs = FundamentalSolution(spec.dim)
@@ -312,30 +311,11 @@ class TestPotentialPaths:
         targets = GridSpec(origin, spec.h, extents)
         reference = _pairwise_potential(fs, f, _target_points(targets), 8).reshape(extents)
         monkeypatch.setattr(elliptic, "_direct_potential", _forbidden)
+        if spec.dim == 3:
+            # r^(2-n) has no zero, so every node meets the source and the mask needs no FFT
+            forbid_indicator_transform()
         u = newtonian_potential(fs, f, targets).values
         assert np.abs(u).max() > 0.0
-        assert np.abs(u - reference).max() <= 1e-13 * max(1.0, np.abs(u).max())
-
-    @pytest.mark.parametrize("case", [c for c in ON_LATTICE if c.startswith("3d")])
-    def test_zero_free_3d_table_needs_no_indicator_transform(self, case, monkeypatch):
-        # r^(2-n) has no zero, so no node can lack a pair and the mask needs no FFT
-        spec, cells, extents = ON_LATTICE[case]
-        f = compact_poly_bump(spec, 0.6)
-        assert (f.values == 0.0).any()
-        fs = FundamentalSolution(spec.dim)
-        origin = tuple(o + k * spec.h for o, k in zip(spec.origin, cells))
-        targets = GridSpec(origin, spec.h, extents)
-        reference = _pairwise_potential(fs, f, _target_points(targets), 8).reshape(extents)
-        cyclic = grid_module._cyclic_convolve
-
-        def value_transform_only(x, y, lengths):
-            if x.dtype == bool:
-                raise AssertionError("the exact-zero mask took the indicator FFT")
-            return cyclic(x, y, lengths)
-
-        monkeypatch.setattr(grid_module, "_cyclic_convolve", value_transform_only)
-        monkeypatch.setattr(elliptic, "_direct_potential", _forbidden)
-        u = newtonian_potential(fs, f, targets).values
         assert np.abs(u - reference).max() <= 1e-13 * max(1.0, np.abs(u).max())
 
     @pytest.mark.parametrize(

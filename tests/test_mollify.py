@@ -458,47 +458,24 @@ class TestFFTConvolutionAgainstTapLoop:
         assert_matches_tap_loop(out, f.values, k.samples.values, 1.0)
 
 
-def _indicator_transform_forbidden(monkeypatch):
-    """Patch the FFT of the two nonzero indicators to fail; the value FFT still runs."""
-    cyclic = grid_module._cyclic_convolve
-
-    def value_transform_only(x, y, lengths):
-        if x.dtype == bool:
-            raise AssertionError("the exact-zero mask took the indicator FFT")
-        return cyclic(x, y, lengths)
-
-    monkeypatch.setattr(grid_module, "_cyclic_convolve", value_transform_only)
-
-
 class TestExactZeroMaskWithoutTheIndicatorTransform:
     """Each mask branch against the tap loop, with the indicator FFT patched to fail."""
 
     CASES = [((257,), 1 / 256, 0.125), ((31, 37), 1 / 8, 0.25), ((17, 19, 23), 1 / 8, 0.25)]
 
     @pytest.mark.parametrize("extents,h,eps", CASES)
-    def test_zero_free_data(self, extents, h, eps, monkeypatch):
-        _indicator_transform_forbidden(monkeypatch)
+    def test_zero_free_data(self, extents, h, eps, forbid_indicator_transform):
+        forbid_indicator_transform()
         k = make_mollifier(len(extents), eps, h, 4)
         for seed in range(3):
             f = TestFFTConvolutionAgainstTapLoop.grid(extents, h, 1.0, seed)
             assert (f.values != 0.0).all()
             assert_matches_tap_loop(convolve(f, k).values, f.values, k.samples.values, h ** len(extents))
 
-    @pytest.mark.parametrize("extents,taps", [((257,), (9,)), ((31, 37), (4, 5)), ((17, 19, 23), (3, 4, 2))])
-    def test_zero_free_kernel_on_sparse_data(self, extents, taps, monkeypatch):
-        _indicator_transform_forbidden(monkeypatch)
-        rng = np.random.default_rng(len(extents))
-        kernel = rng.uniform(0.5, 1.5, taps) * rng.choice([-1.0, 1.0], taps)
-        values = TestFFTConvolutionAgainstTapLoop.grid(extents, 1.0, 0.05, 3).values
-        assert np.signbit(values[values == 0.0]).any() and (~np.signbit(values[values == 0.0])).any()
-        out = _valid_convolve(values, kernel)
-        assert (out == 0.0).any() and (out != 0.0).any()
-        assert_matches_tap_loop(out, values, kernel, 1.0)
-
     @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_zero_kernel_on_zero_free_data(self, dim, monkeypatch):
+    def test_zero_kernel_on_zero_free_data(self, dim, forbid_indicator_transform):
         # the FFT of a kernel of signed zeros leaves -0.0 in the window; the mask clears it
-        _indicator_transform_forbidden(monkeypatch)
+        forbid_indicator_transform()
         rng = np.random.default_rng(dim)
         for _ in range(5):
             values = rng.standard_normal((9,) * dim)
