@@ -120,9 +120,12 @@ def newtonian_potential(
 
     Targets on the source lattice (``grid._lattice_offset``) see a
     translation-invariant kernel, so the sum is a zero-padded discrete
-    convolution evaluated by FFT (Hockney's free-space method).  Any other
-    targets take the direct sum over (target, source) pairs, with each pair's
-    squared distance built from per-axis distance tables.
+    convolution evaluated by FFT (Hockney's free-space method).  Plane
+    targets off the lattice that are all far from the sources
+    (:func:`_separated_sources`) take a multipole expansion about the
+    sources' centre.  Any other targets take the direct sum over (target,
+    source) pairs, with each pair's squared distance built from per-axis
+    distance tables.
     """
     n = fs.dim
     if source.spec.dim != n or targets.dim != n:
@@ -135,8 +138,11 @@ def newtonian_potential(
         )
     self_value = fs.cell_average(source.spec.h)
     offset = _lattice_offset(source.spec, targets)
+    separated = _separated_sources(source, targets) if n == 2 and offset is None else None
     if offset is not None:
         out = _hockney_potential(fs, source, targets.extents, offset, self_value)
+    elif separated is not None:
+        out = _multipole_potential(source.spec.h, targets, *separated)
     else:
         out = _direct_potential(fs, source, targets, self_value)
     return GridFunction(targets, out.reshape(targets.extents))
@@ -180,9 +186,14 @@ def _kernel_of_offsets(fs: FundamentalSolution, offsets: Sequence, total: Callab
         normal = (d2 >= np.finfo(float).tiny) & (d2 < math.inf)
         k = np.where(normal, 0, np.frexp(np.max(np.abs(offsets), axis=0))[1])
         vals = _kernel_of_squared_distance(fs, total(np.square(np.ldexp(o, -k)) for o in offsets))
-        if fs.dim == 2:
-            return vals + k * (math.log(2.0) / (2.0 * math.pi))
-        return np.ldexp(vals, k * (2 - fs.dim))
+        return _kernel_scaled_up(fs, vals, k)
+
+
+def _kernel_scaled_up(fs: FundamentalSolution, vals, k):
+    """Kernel values at ``2^k`` times the distances at which ``vals`` were taken."""
+    if fs.dim == 2:
+        return vals + k * (math.log(2.0) / (2.0 * math.pi))
+    return np.ldexp(vals, k * (2 - fs.dim))
 
 
 def _hockney_potential(
@@ -211,6 +222,77 @@ def _hockney_potential(
     return h**fs.dim * _valid_convolve(table, source.values)
 
 
+def _separated_sources(source: GridFunction, targets: GridSpec):
+    """The plane source about its centre when every target is far from it, else None.
+
+    ``c`` is the centre of the nonzero nodes' bounding box and ``R`` their
+    largest distance from it.  The targets are far when every target node is
+    at least ``max(2R, h)`` from ``c``.  Then ``rho = R / min|t - c|`` is at
+    most 1/2, and every target is at least ``h/2`` from every source (two
+    nonzero nodes give ``R >= h/2``), so no self cell arises.  Points are
+    complex numbers ``x1 + i x2``.  Returns ``(c, R, (s - c) / R, f, p)``, the
+    offsets taken as 0 when ``R = 0``, with ``p`` the smallest term count for
+    which ``rho^(p+1) / (1 - rho) <= 2^-53``: at most 53, plus ``M_0``.
+    """
+    keep = source.values != 0.0
+    if not keep.any():
+        return None
+    coords = [source.spec.axis_coords(a)[i] for a, i in enumerate(np.nonzero(keep))]
+    mid = [0.5 * (x.min() + x.max()) for x in coords]
+    offsets = np.empty(len(coords[0]), complex)
+    offsets.real = coords[0] - mid[0]
+    offsets.imag = coords[1] - mid[1]
+    radius = float(np.abs(offsets).max())
+    # the target node nearest to c is the nearest one on each axis
+    nearest = math.hypot(*(np.abs(targets.axis_coords(a) - m).min() for a, m in enumerate(mid)))
+    if nearest < max(2.0 * radius, source.spec.h):
+        return None
+    rho = radius / nearest
+    terms = 0
+    while rho ** (terms + 1) > 2.0**-53 * (1.0 - rho):
+        terms += 1
+    scaled = offsets / radius if radius else offsets
+    return complex(*mid), radius, scaled, source.values[keep], terms
+
+
+def _multipole_potential(
+    h: float,
+    targets: GridSpec,
+    centre: complex,
+    radius: float,
+    offsets: np.ndarray,
+    weights: np.ndarray,
+    terms: int,
+) -> np.ndarray:
+    """The plane lattice sum at far targets by a multipole expansion about ``centre``.
+
+    With points as complex numbers and ``|s - c| < |t - c|``,
+    ``log(t - s) = log(t - c) - sum_k ((s - c) / (t - c))^k / k``, so the sum is
+    ``h^2 / 2 pi * Re[M_0 log(t - c) - sum_{k=1..p} M_k (R / (t - c))^k]`` with
+    ``M_k = sum_s f_s ((s - c) / R)^k / k`` (Greengard & Rokhlin, J. Comput.
+    Phys. 1987): every power is at most 1 in magnitude.  The series is summed
+    by Horner's rule in ``R / (t - c)``, one pass over the targets per term,
+    and the ``p`` terms of :func:`_separated_sources` leave a tail of at most
+    ``2^-53 sum|f|``.  High powers that underflow for distant targets are
+    benign.
+    """
+    with np.errstate(under="ignore"):
+        moments = []
+        power = weights.astype(complex)
+        for k in range(1, terms + 1):
+            power *= offsets
+            moments.append(power.sum() / k)
+        z = np.empty(targets.extents, complex)
+        z.real = (targets.axis_coords(0) - centre.real)[:, None]
+        z.imag = targets.axis_coords(1) - centre.imag
+        ratio = radius / z
+        series = np.zeros(targets.extents, complex)
+        for moment in reversed(moments):
+            series += moment
+            series *= ratio
+        return h * h / (2.0 * math.pi) * (weights.sum() * np.log(np.abs(z)) - series.real)
+
+
 def _direct_potential(
     fs: FundamentalSolution,
     source: GridFunction,
@@ -229,18 +311,30 @@ def _direct_potential(
     last axis's table into a reused buffer, on which the kernel is taken in
     place.  The near-pair test runs only when the leading sum holds a near
     entry, since no sum of squares is below its leading terms.
+
+    When the largest squared distance, the sum of the tables' maxima, passes
+    the float range, every difference is divided by ``2^k`` before it is
+    squared, with ``2^500`` above the largest one, and the kernel is scaled
+    back as :func:`_kernel_of_offsets` does.  Otherwise ``k = 0``, which
+    keeps the bits of the unscaled sum.
     """
     n = fs.dim
     h = source.spec.h
     keep = source.values != 0.0
     weights = source.values[keep]
     count = weights.size
-    tables = [
-        np.square(targets.axis_coords(a)[:, None] - source.spec.axis_coords(a)[i])
+    differences = [
+        targets.axis_coords(a)[:, None] - source.spec.axis_coords(a)[i]
         for a, i in enumerate(np.nonzero(keep))
     ]
+    with np.errstate(over="ignore"):
+        tables = [np.square(d) for d in differences]
+    k = 0
+    if sum(float(t.max(initial=0.0)) for t in tables) == math.inf:
+        k = math.frexp(max(float(np.abs(d).max()) for d in differences))[1] - 500
+        tables = [np.square(np.ldexp(d, -k)) for d in differences]
     *leading, last = targets.extents
-    near_sq = (1e-9 * h) ** 2
+    near_sq = math.ldexp(1e-9 * h, -k) ** 2
     # About 2 MB per (block x sources) temporary, so each fits one core's L2 cache.
     chunk = max(1, 250_000 // max(1, count))
     step, run = max(1, chunk // last), min(last, chunk)
@@ -259,6 +353,8 @@ def _direct_potential(
             np.add(head[:, None], cols, out=d2)
             near = d2 <= near_sq if gate else None
             vals = _kernel_of_squared_distance(fs, d2, out=d2)
+            if k:
+                vals = _kernel_scaled_up(fs, vals, k)
             if near is not None:
                 vals[near] = self_value
             sums = vals.reshape(math.prod(block), count) @ weights

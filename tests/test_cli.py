@@ -646,6 +646,31 @@ class TestPotentialCommand:
         assert u.spec == spec
         assert np.isfinite(u.values).all()
 
+    @pytest.mark.parametrize("origin", [(1e160, 0.0), (1e160, 0.0, 0.0), (3.5, -1.0)],
+                             ids=["2d-1e160", "3d-1e160", "2d-far-field"])
+    def test_off_lattice_targets_far_away(self, tmp_path, capsys, origin):
+        """Targets whose squared distances overflow, and plane far-field targets, run twice."""
+        dim = len(origin)
+        spec = GridSpec((-1.0,) * dim, 1 / 8, (17,) * dim)
+        s = sum(m * m for m in spec.meshes()) / 0.5**2
+        f = np.where(s < 1, np.maximum(0.0, 1 - s) ** 4, 0.0)
+        src, tgt = tmp_path / "src.grd", tmp_path / "tgt.grd"
+        save_grid(GridFunction(spec, f), str(src))
+        targets = GridSpec(origin, 0.1, (5,) * dim)
+        save_grid(GridFunction(targets, np.zeros(targets.extents)), str(tgt))
+        texts = []
+        for k in (1, 2):
+            out = tmp_path / f"pot{k}.grd"
+            assert main(["potential", "--source", str(src), "--targets", str(tgt), "--output", str(out)]) == 0
+            assert capsys.readouterr().err == ""
+            texts.append(out.read_bytes())
+        assert texts[0] == texts[1]
+        u = load_grid(str(tmp_path / "pot1.grd")).values
+        mass = spec.h**dim * f.sum()
+        r = np.hypot.reduce(targets.meshes())  # no square, which would overflow
+        point = mass * (np.log(r) / (2 * math.pi) if dim == 2 else -1 / (4 * math.pi * r))
+        assert np.allclose(u, point, rtol=0.01, atol=0.0)
+
     def test_noncompact_source_exits_1(self, tmp_path):
         spec = GridSpec((-1.0, -1.0), 1 / 8, (17, 17))
         src = tmp_path / "src.grd"

@@ -413,6 +413,197 @@ class TestDirectSumMatchesPairwise:
         assert direct <= 1.25 * pairwise
 
 
+def _centre_and_radius(f: GridFunction):
+    """The nonzero nodes' bounding-box centre and their largest distance from it."""
+    points = np.stack([m[f.values != 0.0] for m in f.spec.meshes()], axis=1)
+    centre = (points.min(axis=0) + points.max(axis=0)) / 2
+    return centre, float(np.linalg.norm(points - centre, axis=1).max())
+
+
+def _far_targets(f, side, rho, pitch, extents, shift=0.0):
+    """Targets on one side of ``f``'s nonzeros whose nearest node is ``R / rho`` from the centre.
+
+    ``side`` is the unit direction from the centre to the nearest node, which is
+    a corner (or edge node) of the target grid; ``shift`` moves that node along
+    the grid's edge, away from the axis through the centre, by cells.
+    """
+    centre, radius = _centre_and_radius(f)
+    near = centre + np.asarray(side) * (radius / rho)
+    origin = [
+        c if s > 0 else c - (e - 1) * pitch if s < 0 else c + shift * pitch
+        for c, s, e in zip(near, side, extents)
+    ]
+    return GridSpec(tuple(origin), pitch, extents)
+
+
+# side, rho at the nearest node, target pitch (None: the source's), extents
+FAR_FIELD = {
+    "east-rho-0.05": ((1, 0), 0.05, 0.1, (9, 11)),
+    "west-rho-0.2": ((-1, 0), 0.2, 0.0913, (12, 7)),
+    "north-rho-0.35": ((0, 1), 0.35, 0.0703125, (10, 13)),
+    "south-rho-0.5": ((0, -1), 0.5, 0.1, (11, 8)),
+    "east-same-pitch-rho-0.3": ((1, 0), 0.3, None, (14, 9)),
+    "north-same-pitch-rho-0.45": ((0, 1), 0.45, None, (6, 15)),
+    "west-1xN-rho-0.25": ((-1, 0), 0.25, 0.06, (1, 40)),
+    "south-Nx1-rho-0.4": ((0, -1), 0.4, 0.06, (40, 1)),
+}
+
+
+class TestMultipoleFarField:
+    """The plane far-field expansion against the pairwise sum, with the direct sum patched to fail."""
+
+    @pytest.mark.parametrize("case", list(FAR_FIELD))
+    def test_matches_pairwise_sum(self, case, monkeypatch):
+        side, rho, pitch, extents = FAR_FIELD[case]
+        f = compact_poly_bump(SOURCE_2D, 0.6)
+        targets = _far_targets(f, side, rho, pitch or SOURCE_2D.h, extents, shift=0.37)
+        fs = FundamentalSolution(2)
+        reference = _pairwise_potential(fs, f, _target_points(targets), 8).reshape(extents)
+        monkeypatch.setattr(elliptic, "_direct_potential", _forbidden)
+        monkeypatch.setattr(elliptic, "_hockney_potential", _forbidden)
+        u = newtonian_potential(fs, f, targets).values
+        assert np.abs(u).max() > 0.0
+        assert np.abs(u - reference).max() <= 1e-13 * max(1.0, np.abs(u).max())
+
+    @pytest.mark.parametrize("side", [(1, 0), (0, -1)], ids=["east", "south"])
+    def test_sign_changing_source(self, side, monkeypatch):
+        """``bump * x1`` nearly cancels, so the bound is relative to the largest term.
+
+        Each pair contributes at most ``h^2 |f| max|K|``, so the sum's roundoff
+        is bounded by ``1e-13 * h^2 * sum|f| * max|K|``, with ``max|K|`` the
+        kernel's largest magnitude over the pairs.
+        """
+        bump = compact_poly_bump(SOURCE_2D, 0.6)
+        f = GridFunction(SOURCE_2D, bump.values * SOURCE_2D.meshes()[0])
+        targets = _far_targets(f, side, 0.45, 0.1, (9, 8))
+        fs = FundamentalSolution(2)
+        points = _target_points(targets)
+        sources = np.stack([m[f.values != 0.0] for m in SOURCE_2D.meshes()], axis=1)
+        distances = np.linalg.norm(points[:, None, :] - sources[None, :, :], axis=2)
+        largest_term = SOURCE_2D.h**2 * np.abs(f.values).sum() * np.abs(fs.radial(distances)).max()
+        reference = _pairwise_potential(fs, f, points, 8).reshape(targets.extents)
+        monkeypatch.setattr(elliptic, "_direct_potential", _forbidden)
+        u = newtonian_potential(fs, f, targets).values
+        assert np.abs(u - reference).max() <= 1e-13 * largest_term
+        assert np.abs(u).max() > 1e-6 * largest_term  # the dipole does not cancel
+
+    def test_just_inside_half_takes_the_expansion(self, monkeypatch):
+        f = compact_poly_bump(SOURCE_2D, 0.6)
+        targets = _far_targets(f, (1, 0), 0.4999, 0.1, (5, 6))
+        centre, radius = _centre_and_radius(f)
+        assert 0.4998 < radius / math.dist(targets.origin, centre) < 0.5
+        fs = FundamentalSolution(2)
+        reference = _pairwise_potential(fs, f, _target_points(targets), 8).reshape(targets.extents)
+        monkeypatch.setattr(elliptic, "_direct_potential", _forbidden)
+        u = newtonian_potential(fs, f, targets).values
+        assert np.abs(u - reference).max() <= 1e-13 * max(1.0, np.abs(u).max())
+
+    def test_just_outside_half_takes_the_direct_sum(self, monkeypatch):
+        f = compact_poly_bump(SOURCE_2D, 0.6)
+        targets = _far_targets(f, (1, 0), 0.5001, 0.1, (5, 6))
+        monkeypatch.setattr(elliptic, "_multipole_potential", _forbidden)
+        u = newtonian_potential(FundamentalSolution(2), f, targets).values
+        assert np.isfinite(u).all()
+
+    def test_three_dimensional_far_targets_take_the_direct_sum(self, monkeypatch):
+        f = compact_poly_bump(SOURCE_3D, 0.6)
+        targets = GridSpec((20.0, -3.0, 1.0), 0.2, (4, 3, 5))
+        fs = FundamentalSolution(3)
+        reference = _pairwise_potential(fs, f, _target_points(targets), 8).reshape(targets.extents)
+        monkeypatch.setattr(elliptic, "_multipole_potential", _forbidden)
+        u = newtonian_potential(fs, f, targets).values
+        assert np.abs(u - reference).max() <= 1e-13 * max(1.0, np.abs(u).max())
+
+    @pytest.mark.parametrize("origin", [(0.3, 0.2), (-2.0, 5.5), (40.0, -7.0)])
+    def test_single_source_is_the_kernel(self, origin, monkeypatch):
+        values = np.zeros(SOURCE_2D.extents)
+        values[5, 4] = 2.5
+        f = GridFunction(SOURCE_2D, values)
+        source = np.asarray(SOURCE_2D.node((5, 4)))
+        targets = GridSpec(origin, 0.1, (6, 7))
+        fs = FundamentalSolution(2)
+        monkeypatch.setattr(elliptic, "_direct_potential", _forbidden)
+        u = newtonian_potential(fs, f, targets).values
+        expected = np.array(
+            [SOURCE_2D.h**2 * 2.5 * fs.evaluate(np.asarray(targets.node(i)) - source)
+             for i in np.ndindex(*targets.extents)]
+        ).reshape(targets.extents)
+        assert np.abs(u - expected).max() <= 1e-15 * max(1.0, np.abs(expected).max())
+
+    @pytest.mark.parametrize("rho", [0.5, 0.3, 0.05, 1e-17])
+    def test_term_count_is_the_smallest_that_meets_the_bound(self, rho):
+        """p is the smallest count with ``rho^(p+1) / (1 - rho) <= 2^-53``: 53 at rho = 1/2."""
+        f = compact_poly_bump(SOURCE_2D, 0.6)
+        centre, radius = _centre_and_radius(f)
+        targets = GridSpec((centre[0] + radius / rho, centre[1]), 0.1, (3, 4))
+        *_, terms = elliptic._separated_sources(f, targets)
+        measured = radius / (targets.origin[0] - centre[0])
+        assert measured**(terms + 1) / (1.0 - measured) <= 2.0**-53
+        assert terms == 0 or measured**terms / (1.0 - measured) > 2.0**-53
+        if rho == 0.5:
+            assert measured == 0.5 and terms == 53
+
+    def test_zero_source_takes_the_direct_sum(self, monkeypatch):
+        monkeypatch.setattr(elliptic, "_multipole_potential", _forbidden)
+        zero = GridFunction(SOURCE_2D, np.zeros(SOURCE_2D.extents))
+        u = newtonian_potential(FundamentalSolution(2), zero, GridSpec((30.0, 0.5), 0.1, (3, 4)))
+        assert (u.values == 0.0).all() and not np.signbit(u.values).any()
+
+    def test_a_target_within_h_of_a_single_source_takes_the_direct_sum(self, monkeypatch):
+        values = np.zeros(SOURCE_2D.extents)
+        values[5, 4] = 2.5
+        f = GridFunction(SOURCE_2D, values)
+        x1, x2 = SOURCE_2D.node((5, 4))
+        monkeypatch.setattr(elliptic, "_multipole_potential", _forbidden)
+        u = newtonian_potential(FundamentalSolution(2), f, GridSpec((x1 + 0.1, x2), 0.1, (3, 3)))
+        assert np.isfinite(u.values).all()
+
+
+class TestTargetsPastTheSquareRange:
+    """Targets whose squared distance from the sources overflows.
+
+    Far from the source the potential is the point source's, ``h^n sum f K(t - c)``,
+    to within rounding.
+    """
+
+    @staticmethod
+    def _check(fs, f, targets, nearby=()):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                u = newtonian_potential(fs, f, targets).values
+        centre, _ = _centre_and_radius(f)
+        mass = f.spec.h**fs.dim * f.values.sum()
+        for index in np.ndindex(*targets.extents):
+            point = np.asarray(targets.node(index))
+            if index in nearby:
+                # the same node on its own, where no difference is scaled
+                alone = newtonian_potential(fs, f, GridSpec(tuple(point), targets.h, (1,) * fs.dim))
+                expected = alone.values.item()
+            else:
+                expected = mass * fs.evaluate(point - centre)
+            assert u[index] == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_three_dimensional(self):
+        f = compact_poly_bump(SOURCE_3D, 0.6)
+        self._check(FundamentalSolution(3), f, GridSpec((1e160, 0.0, 0.0), 0.2, (3, 2, 4)))
+
+    def test_plane_grid_with_one_node_near_the_source(self, monkeypatch):
+        f = compact_poly_bump(SOURCE_2D, 0.6)
+        monkeypatch.setattr(elliptic, "_multipole_potential", _forbidden)
+        self._check(FundamentalSolution(2), f, GridSpec((0.3, 0.1), 1e160, (2, 3)), nearby=[(0, 0)])
+
+    def test_three_dimensional_grid_with_one_node_near_the_source(self):
+        f = compact_poly_bump(SOURCE_3D, 0.6)
+        targets = GridSpec((0.3, 0.1, -0.2), 1e160, (2, 2, 2))
+        self._check(FundamentalSolution(3), f, targets, nearby=[(0, 0, 0)])
+
+    def test_plane_far_targets_take_the_expansion(self, monkeypatch):
+        f = compact_poly_bump(SOURCE_2D, 0.6)
+        monkeypatch.setattr(elliptic, "_direct_potential", _forbidden)
+        self._check(FundamentalSolution(2), f, GridSpec((1e160, 0.0), 0.2, (3, 4)))
+
+
 class TestLaplaceSolver:
     def test_bilinear_boundary_is_discretely_exact(self):
         spec = GridSpec((0.0, 0.0), 1 / 16, (17, 17))
