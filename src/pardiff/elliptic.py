@@ -125,7 +125,7 @@ def newtonian_potential(
     (:func:`_separated_sources`) take a multipole expansion about the
     sources' centre.  Any other targets take the direct sum over (target,
     source) pairs, with each pair's squared distance built from per-axis
-    distance tables.
+    distance tables.  A value past the float range raises OverflowError.
     """
     n = fs.dim
     if source.spec.dim != n or targets.dim != n:
@@ -145,15 +145,21 @@ def newtonian_potential(
         out = _multipole_potential(source.spec.h, targets, *separated)
     else:
         out = _direct_potential(fs, source, targets, self_value)
-    return GridFunction(targets, out.reshape(targets.extents))
+    out = out.reshape(targets.extents)
+    finite = np.isfinite(out)
+    if not finite.all():
+        raise OverflowError(f"potential overflows at node {_first_failing(finite)}")
+    return GridFunction(targets, out)
 
 
 def _kernel_of_squared_distance(
-    fs: FundamentalSolution, d2: np.ndarray, out: np.ndarray | None = None
+    fs: FundamentalSolution, d2: np.ndarray, out: np.ndarray | None = None, k=0
 ) -> np.ndarray:
-    """Kernel values from squared distances; entries with ``d2 == 0`` are not finite.
+    """Kernel values at the distances ``2^k sqrt(d2)``; entries with ``d2 == 0`` are not finite.
 
-    The values go to ``out`` when given (``out=d2`` overwrites the distances).
+    ``k`` (ints, or an array of them) adds ``k log(2) / 2 pi`` in the plane and
+    multiplies by ``2^(k (2 - n))`` otherwise.  The values go to ``out`` when
+    given and ``k`` is 0 (``out=d2`` overwrites the distances).
     """
     n = fs.dim
     with np.errstate(divide="ignore"):
@@ -164,6 +170,8 @@ def _kernel_of_squared_distance(
         else:
             vals = np.power(d2, (2.0 - n) / 2.0, out=out)
             vals *= -1.0 / ((n - 2.0) * fs.unit_sphere_area)
+    if np.any(k):
+        vals = vals + k * (math.log(2.0) / math.tau) if n == 2 else np.ldexp(vals, k * (2 - n))
     return vals
 
 
@@ -172,11 +180,10 @@ def _kernel_of_offsets(fs: FundamentalSolution, offsets: Sequence, total: Callab
 
     The squared distance is ``total`` of the squared offsets.  Where it is not
     a normal float, the offsets are first divided by ``2^k``, with ``k`` the
-    binary exponent of the largest one, and the kernel is scaled back: plus
-    ``k log(2) / 2 pi`` in the plane, times ``2^(k (2 - n))`` otherwise.  Every
-    other entry has ``k = 0``, so it is the kernel of the unscaled squared
-    distance, bit for bit.  A kernel past the float range is infinite, with no
-    warning.
+    binary exponent of the largest one, and the kernel is taken with that
+    ``k``.  Every other entry has ``k = 0``, so it is the kernel of the
+    unscaled squared distance, bit for bit.  A kernel past the float range is
+    infinite, with no warning.
     """
     with np.errstate(over="ignore", under="ignore"):
         try:
@@ -185,15 +192,24 @@ def _kernel_of_offsets(fs: FundamentalSolution, offsets: Sequence, total: Callab
             d2 = math.inf
         normal = (d2 >= np.finfo(float).tiny) & (d2 < math.inf)
         k = np.where(normal, 0, np.frexp(np.max(np.abs(offsets), axis=0))[1])
-        vals = _kernel_of_squared_distance(fs, total(np.square(np.ldexp(o, -k)) for o in offsets))
-        return _kernel_scaled_up(fs, vals, k)
+        d2 = total(np.square(np.ldexp(o, -k)) for o in offsets)
+        return _kernel_of_squared_distance(fs, d2, k=k)
 
 
-def _kernel_scaled_up(fs: FundamentalSolution, vals, k):
-    """Kernel values at ``2^k`` times the distances at which ``vals`` were taken."""
-    if fs.dim == 2:
-        return vals + k * (math.log(2.0) / (2.0 * math.pi))
-    return np.ldexp(vals, k * (2 - fs.dim))
+def _squared_tables(differences: Sequence[np.ndarray], h: float):
+    """The per-axis ``differences`` squared, the self-cell bound ``near_sq`` and the scale ``k``.
+
+    When the sum of the squares' maxima passes the float range, each difference
+    is first divided by ``2^k``, with ``2^(k+500)`` above the largest; else
+    ``k = 0``.  A squared distance up to ``(1e-9 h / 2^k)^2`` is a self cell.
+    """
+    with np.errstate(over="ignore"):
+        tables = [np.square(d) for d in differences]
+    k = 0
+    if sum(float(t.max(initial=0.0)) for t in tables) == math.inf:
+        k = math.frexp(max(float(np.abs(d).max()) for d in differences))[1] - 500
+        tables = [np.square(np.ldexp(d, -k)) for d in differences]
+    return tables, math.ldexp(1e-9 * h, -k) ** 2, k
 
 
 def _hockney_potential(
@@ -208,17 +224,16 @@ def _hockney_potential(
     Target node t sees source node s at displacement ``offset + t - s``, so
     the sum is the valid convolution of the source with the kernel tabulated
     on displacements ``offset - (Ns-1) ... offset + Nt - 1`` per axis; that
-    table's extent ``Ns + Nt - 1`` is never below the source's ``Ns``.  The
-    self-cell rule is the direct sum's: a displacement under 1e-9 cells.
+    table's extent ``Ns + Nt - 1`` is never below the source's ``Ns``.  Its
+    squares and self cells are the direct sum's (:func:`_squared_tables`).
     """
     h = source.spec.h
-    src_extents = source.spec.extents
-    displacements = np.ix_(
-        *(h * np.arange(o - s + 1, o + t) for o, s, t in zip(offset, src_extents, target_extents))
-    )
-    d2 = sum(d * d for d in displacements)
-    table = _kernel_of_squared_distance(fs, d2)
-    table[d2 <= (1e-9 * h) ** 2] = self_value
+    axes = zip(offset, source.spec.extents, target_extents)
+    displacements = [h * (float(o) + np.arange(1 - s, t)) for o, s, t in axes]
+    tables, near_sq, k = _squared_tables(displacements, h)
+    d2 = sum(np.ix_(*tables))
+    table = _kernel_of_squared_distance(fs, d2, k=k)
+    table[d2 <= near_sq] = self_value
     return h**fs.dim * _valid_convolve(table, source.values)
 
 
@@ -310,13 +325,9 @@ def _direct_potential(
     once; a block's distances are then one broadcast add of that sum and the
     last axis's table into a reused buffer, on which the kernel is taken in
     place.  The near-pair test runs only when the leading sum holds a near
-    entry, since no sum of squares is below its leading terms.
-
-    When the largest squared distance, the sum of the tables' maxima, passes
-    the float range, every difference is divided by ``2^k`` before it is
-    squared, with ``2^500`` above the largest one, and the kernel is scaled
-    back as :func:`_kernel_of_offsets` does.  Otherwise ``k = 0``, which
-    keeps the bits of the unscaled sum.
+    entry, since no sum of squares is below its leading terms.  The tables
+    come from :func:`_squared_tables`, scaled when the distances' squares
+    pass the float range.
     """
     n = fs.dim
     h = source.spec.h
@@ -327,14 +338,8 @@ def _direct_potential(
         targets.axis_coords(a)[:, None] - source.spec.axis_coords(a)[i]
         for a, i in enumerate(np.nonzero(keep))
     ]
-    with np.errstate(over="ignore"):
-        tables = [np.square(d) for d in differences]
-    k = 0
-    if sum(float(t.max(initial=0.0)) for t in tables) == math.inf:
-        k = math.frexp(max(float(np.abs(d).max()) for d in differences))[1] - 500
-        tables = [np.square(np.ldexp(d, -k)) for d in differences]
+    tables, near_sq, k = _squared_tables(differences, h)
     *leading, last = targets.extents
-    near_sq = math.ldexp(1e-9 * h, -k) ** 2
     # About 2 MB per (block x sources) temporary, so each fits one core's L2 cache.
     chunk = max(1, 250_000 // max(1, count))
     step, run = max(1, chunk // last), min(last, chunk)
@@ -352,9 +357,7 @@ def _direct_potential(
             d2 = buf[: math.prod(block) * count].reshape(*block, count)
             np.add(head[:, None], cols, out=d2)
             near = d2 <= near_sq if gate else None
-            vals = _kernel_of_squared_distance(fs, d2, out=d2)
-            if k:
-                vals = _kernel_scaled_up(fs, vals, k)
+            vals = _kernel_of_squared_distance(fs, d2, out=d2, k=k)
             if near is not None:
                 vals[near] = self_value
             sums = vals.reshape(math.prod(block), count) @ weights

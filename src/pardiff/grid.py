@@ -207,11 +207,11 @@ def _lattice_offset(source: GridSpec, target: GridSpec) -> tuple[int, ...] | Non
     """Whole-cell offset of the target origin from the source origin; None off the lattice.
 
     On it, the spacings are the same pitch (:func:`_same_pitch`) and each
-    offset lies within 1e-9 cells of a whole number.
+    offset is a finite cell count within 1e-9 cells of a whole number.
     """
-    if not _same_pitch(target.h, source.h):
-        return None
     cells = [(t - s) / source.h for t, s in zip(target.origin, source.origin)]
+    if not (_same_pitch(target.h, source.h) and all(map(math.isfinite, cells))):
+        return None
     offset = tuple(round(c) for c in cells)
     if any(abs(c - k) > 1e-9 for c, k in zip(cells, offset)):
         return None

@@ -646,17 +646,28 @@ class TestPotentialCommand:
         assert u.spec == spec
         assert np.isfinite(u.values).all()
 
-    @pytest.mark.parametrize("origin", [(1e160, 0.0), (1e160, 0.0, 0.0), (3.5, -1.0)],
-                             ids=["2d-1e160", "3d-1e160", "2d-far-field"])
-    def test_off_lattice_targets_far_away(self, tmp_path, capsys, origin):
-        """Targets whose squared distances overflow, and plane far-field targets, run twice."""
+    @pytest.mark.parametrize(
+        "origin, pitch",
+        [
+            ((1e160, 0.0), 0.1), ((1e160, 0.0, 0.0), 0.1), ((3.5, -1.0), 0.1),
+            ((1e19, 0.0), 1 / 8), ((1e160, 0.0), 1 / 8), ((1e160, 0.0, 0.0), 1 / 8),
+            ((1e308, 0.0), 1 / 8),
+        ],
+        ids=[
+            "2d-1e160", "3d-1e160", "2d-far-field", "2d-1e19-on-lattice", "2d-1e160-on-lattice",
+            "3d-1e160-on-lattice", "2d-1e308-on-lattice",
+        ],
+    )
+    def test_off_lattice_targets_far_away(self, tmp_path, capsys, origin, pitch):
+        """Targets whose squared distances or cell counts overflow, and plane far-field
+        targets, run twice; at pitch 1/8 the targets are on the source lattice."""
         dim = len(origin)
         spec = GridSpec((-1.0,) * dim, 1 / 8, (17,) * dim)
         s = sum(m * m for m in spec.meshes()) / 0.5**2
         f = np.where(s < 1, np.maximum(0.0, 1 - s) ** 4, 0.0)
         src, tgt = tmp_path / "src.grd", tmp_path / "tgt.grd"
         save_grid(GridFunction(spec, f), str(src))
-        targets = GridSpec(origin, 0.1, (5,) * dim)
+        targets = GridSpec(origin, pitch, (5,) * dim)
         save_grid(GridFunction(targets, np.zeros(targets.extents)), str(tgt))
         texts = []
         for k in (1, 2):
@@ -670,6 +681,18 @@ class TestPotentialCommand:
         r = np.hypot.reduce(targets.meshes())  # no square, which would overflow
         point = mass * (np.log(r) / (2 * math.pi) if dim == 2 else -1 / (4 * math.pi * r))
         assert np.allclose(u, point, rtol=0.01, atol=0.0)
+
+    def test_plane_far_field_overflow_exits_2(self, tmp_path, capsys):
+        """h^2 overflows on the multipole path, as ``h^n`` does on the other two."""
+        values = np.zeros((3, 3))
+        values[1, 1] = 1.0
+        src, tgt = tmp_path / "src.grd", tmp_path / "tgt.grd"
+        save_grid(GridFunction(GridSpec((0.0, 0.0), 1e300, (3, 3)), values), str(src))
+        save_grid(GridFunction(GridSpec((-1.0, -1.0), 1 / 8, (17, 17)), np.zeros((17, 17))), str(tgt))
+        out = tmp_path / "pot.grd"
+        assert main(["potential", "--source", str(src), "--targets", str(tgt), "--output", str(out)]) == 2
+        assert capsys.readouterr().err == "error: potential overflows at node (0, 0)\n"
+        assert not out.exists()
 
     def test_noncompact_source_exits_1(self, tmp_path):
         spec = GridSpec((-1.0, -1.0), 1 / 8, (17, 17))

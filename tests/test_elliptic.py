@@ -583,6 +583,7 @@ class TestTargetsPastTheSquareRange:
             else:
                 expected = mass * fs.evaluate(point - centre)
             assert u[index] == pytest.approx(expected, rel=1e-12, abs=0.0)
+        return u
 
     def test_three_dimensional(self):
         f = compact_poly_bump(SOURCE_3D, 0.6)
@@ -602,6 +603,25 @@ class TestTargetsPastTheSquareRange:
         f = compact_poly_bump(SOURCE_2D, 0.6)
         monkeypatch.setattr(elliptic, "_direct_potential", _forbidden)
         self._check(FundamentalSolution(2), f, GridSpec((1e160, 0.0), 0.2, (3, 4)))
+
+    @pytest.mark.parametrize("x", [1e19, 1e160, 1e300], ids=["1e19", "1e160", "1e300"])
+    @pytest.mark.parametrize("source", [SOURCE_2D, SOURCE_3D], ids=["2d", "3d"])
+    def test_same_pitch_targets_take_the_fft(self, source, x, monkeypatch):
+        """Whole-cell offsets past 2^63 cells, and squared distances that overflow.
+
+        The reference is the direct sum, reached by taking the targets off the lattice.
+        """
+        f = compact_poly_bump(source, 0.6)
+        fs = FundamentalSolution(source.dim)
+        targets = GridSpec((x,) + (0.0,) * (source.dim - 1), source.h, (3,) * source.dim)
+        with monkeypatch.context() as m:
+            m.setattr(elliptic, "_lattice_offset", lambda *args: None)
+            m.setattr(elliptic, "_separated_sources", lambda *args: None)
+            reference = newtonian_potential(fs, f, targets).values
+        monkeypatch.setattr(elliptic, "_direct_potential", _forbidden)
+        monkeypatch.setattr(elliptic, "_multipole_potential", _forbidden)
+        u = self._check(fs, f, targets)
+        assert np.abs(u - reference).max() <= 1e-13 * np.abs(u).max()
 
 
 class TestLaplaceSolver:

@@ -214,6 +214,11 @@ class TestRestrict:
         with pytest.raises(ValueError, match="incompatible"):
             restrict(u, GridSpec((0.3,), 0.5, (2,)))
 
+    def test_rejects_a_cell_count_that_overflows(self):
+        u = sample("x1", GridSpec((0.0, 0.0), 0.125, (5, 5)))
+        with pytest.raises(ValueError, match="incompatible specs: .* is off the lattice"):
+            restrict(u, GridSpec((1e308, 0.0), 0.125, (2, 2)))
+
     def test_rejects_window_outside(self):
         u = sample("x1", GridSpec((0.0,), 0.5, (5,)))
         with pytest.raises(ValueError, match="incompatible"):
