@@ -124,17 +124,18 @@ def _cmd_solve(args) -> Outputs:
         "biharmonic": (solve_biharmonic, True, True),
     }
     solve, takes_rhs, takes_lap_boundary = solvers[args.operator]
-    if not takes_rhs and (args.rhs or args.rhs_grid):
+    if not takes_rhs and (args.rhs is not None or args.rhs_grid is not None):
         raise _UsageError(f"solve {args.operator} takes no right-hand side")
-    if not takes_lap_boundary and args.lap_boundary:
+    if not takes_lap_boundary and args.lap_boundary is not None:
         raise _UsageError("--lap-boundary applies only to solve biharmonic")
-    if takes_lap_boundary and not args.lap_boundary:
+    if takes_lap_boundary and args.lap_boundary is None:
         raise _UsageError(f"solve {args.operator} needs --lap-boundary")
     domain = load_grid(args.grid)
     spec = domain.spec
-    inputs = [sample(args.boundary, spec) if args.boundary else domain]
+    inputs = [domain if args.boundary is None else sample(args.boundary, spec)]
     if takes_rhs:
-        rhs = load_grid(args.rhs_grid) if args.rhs_grid else sample(args.rhs or "0", spec)
+        rhs_text = "0" if args.rhs is None else args.rhs
+        rhs = sample(rhs_text, spec) if args.rhs_grid is None else load_grid(args.rhs_grid)
         inputs.insert(0, rhs)
     if takes_lap_boundary:
         inputs.append(sample(args.lap_boundary, spec))
@@ -163,7 +164,7 @@ def _cmd_mollify(args) -> Outputs:
 
 def _cmd_potential(args) -> Outputs:
     source = load_grid(args.source)
-    targets = load_grid(args.targets).spec if args.targets else source.spec
+    targets = source.spec if args.targets is None else load_grid(args.targets).spec
     fs = FundamentalSolution(source.spec.dim)
     return [(args.output, grid_file_chunks(newtonian_potential(fs, source, targets)))]
 
@@ -172,7 +173,7 @@ def _cmd_verify(args) -> Outputs:
     u = load_grid(args.grid)
     stencil = laplace_stencil if args.operator == "laplace" else biharmonic_stencil
     s = stencil(u.spec.dim, u.spec.h, scaled=args.scaled)
-    l1, linf = residual(s, u, sample(args.rhs or "0", u.spec))
+    l1, linf = residual(s, u, sample("0" if args.rhs is None else args.rhs, u.spec))
     passed, _ = max_principle_check(u)
     scaled = "true" if args.scaled else "false"
     row = [args.operator, scaled, l1, linf, "pass" if passed else "fail"]

@@ -993,16 +993,16 @@ def convergence_study(
     """
     if problem not in ("laplace", "poisson"):
         raise ValueError(f"unknown problem {problem!r}: expected laplace or poisson")
-    if problem == "poisson" and not rhs:
+    if problem == "poisson" and rhs is None:
         raise ValueError("a poisson study needs --rhs")
-    if problem == "laplace" and rhs:
+    if problem == "laplace" and rhs is not None:
         raise ValueError("a laplace study takes no --rhs")
     if len(h_list) < 2:
         raise ValueError("convergence study needs at least 2 spacings")
     if any(b >= a for a, b in zip(h_list, h_list[1:])):
         raise ValueError("spacings must be strictly decreasing")
     ref = parse(reference)
-    rhs_expr = parse(rhs) if rhs else None
+    rhs_expr = None if rhs is None else parse(rhs)
     specs = _box_specs(origin, (length,) * len(origin), h_list)
     rows: list[ConvergenceRow] = []
     for spec in specs:

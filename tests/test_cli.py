@@ -565,6 +565,38 @@ class TestRefusedBeforeAnythingIsBuilt:
         assert not out.exists()
 
 
+END = "unexpected end of input (offset 0)"
+NO_FILE = "[Errno 2] No such file or directory: ''"
+STUDY = ["--reference", "x1", "--h", "0.5", "0.25", "--origin", "0", "0", "--length", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["solve", "laplace", "--grid", "{grid}", "--rhs="], "solve laplace takes no right-hand side"),
+        (["solve", "poisson", "--grid", "{grid}", "--rhs="], END),
+        (["solve", "poisson", "--grid", "{grid}", "--boundary="], END),
+        (["solve", "poisson", "--grid", "{grid}", "--rhs-grid="], NO_FILE),
+        (["solve", "poisson", "--grid", "{grid}", "--lap-boundary="],
+         "--lap-boundary applies only to solve biharmonic"),
+        (["solve", "biharmonic", "--grid", "{grid}", "--lap-boundary="], END),
+        (["verify", "--grid", "{grid}", "--rhs="], END),
+        (["potential", "--source", "{grid}", "--targets="], NO_FILE),
+        (["convergence", "--problem", "laplace", "--rhs=", *STUDY], "a laplace study takes no --rhs"),
+        (["convergence", "--problem", "poisson", "--rhs=", *STUDY], END),
+    ],
+    ids=["solve-laplace-rhs", "solve-poisson-rhs", "solve-poisson-boundary",
+         "solve-poisson-rhs-grid", "solve-poisson-lap-boundary", "solve-biharmonic-lap-boundary",
+         "verify-rhs", "potential-targets", "convergence-laplace-rhs", "convergence-poisson-rhs"],
+)
+def test_an_empty_value_is_a_value(box_grid, tmp_path, capsys, argv, err):
+    out = tmp_path / "out"
+    assert main([a.format(grid=box_grid) for a in argv] + ["--output", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {err}\n"
+    assert not out.exists()
+
+
 RHS = "sin(3*x1) * exp(-x2)"
 RHS_OPERATORS = [("poisson", []), ("biharmonic", ["--lap-boundary", "x1 - x2"])]
 
