@@ -1,15 +1,15 @@
 """Batch front-end: classify, apply, solve, mollify, potential, verify, convergence.
 
-This module parses arguments, lays out CSV and maps exceptions to exit codes;
-everything else lives in the library.  Results go to files or standard
-output, diagnostics to standard error.  CSV output uses a fixed header per
-subcommand and 17-significant-digit floats, so identical inputs produce
-byte-identical output.  ``main`` checks every output file before the command
-reads any input (``grid._check_targets``: a directory, a missing directory or
-a target that is not a regular file is refused).  Each command returns its
-outputs and ``main`` writes all of its files or none, through
-``grid._atomic_write``, and then standard output; an error names the target
-path as given.
+This module parses arguments, picks CSV columns and maps exceptions to exit
+codes; everything else lives in the library.  Results go to files or standard
+output, diagnostics to standard error.  CSV has a fixed header per subcommand
+and 17-significant-digit floats, formatted in 4096-row blocks by the grid
+file's writer, so identical inputs give byte-identical output.  ``main``
+checks every output file before the command reads any input
+(``grid._check_targets``: a directory, a missing directory or a target that is
+not a regular file is refused).  Commands return chunks; ``main`` streams all
+of its files or none through ``grid._atomic_write``, then writes standard
+output's joined; an error names the target path as given.
 
 An argument is an option only when it is spelled as one of its command's
 options, alone or as ``--name=value``; every other argument is a value,
@@ -29,7 +29,7 @@ import argparse
 import os
 import sys
 import time
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -47,15 +47,17 @@ from .elliptic import (
     solve_poisson_dirichlet,
 )
 from .expr import ExprEvalError
-from .grid import GridSpec, _atomic_write, _check_targets, grid_file_chunks, load_grid, sample
+from .grid import (
+    GridSpec, _atomic_write, _check_targets, _table_chunks, grid_file_chunks, load_grid, sample,
+)
 from .mollify import MollifierError, convolve, mollifier_for
 from .stencil import biharmonic_stencil, laplace_stencil, load_stencil, residual
 
 __all__ = ["main"]
 
-# What a command returns: (file, or None for standard output; its text) pairs, written by
-# main.  A file's text may be an iterable of chunks, such as a grid's grid_file_chunks.
-Outputs = list[tuple[str | None, str | Iterable[str]]]
+# What a command returns: (file, or None for standard output; its text's chunks) pairs,
+# written by main.  Chunks come from grid.grid_file_chunks or, for a CSV, grid._table_chunks.
+Outputs = list[tuple[str | None, Iterable[str]]]
 
 
 class _UsageError(ValueError):
@@ -78,20 +80,6 @@ class _ArgumentParser(argparse.ArgumentParser):
         return super()._parse_optional(arg_string)
 
 
-def _csv_text(header: str, rows: Iterable[Sequence]) -> str:
-    """The header line then one line per row: text as is, numbers in ``.17g``.
-
-    All rows are formatted by one ``%`` over a template of ``%s`` and
-    ``%.17g`` fields, which gives the bytes of ``format(float(v), ".17g")``.
-    """
-    lines: list[str] = []
-    values: list = []
-    for row in rows:
-        lines.append(",".join(["%s" if isinstance(v, str) else "%.17g" for v in row]) + "\n")
-        values.extend(row)
-    return header + "\n" + "".join(lines) % tuple(values)
-
-
 def _cmd_classify(args) -> Outputs:
     probe_options = (args.probe_origin, args.probe_h, args.probe_extents)
     # exactly one source of points: --at alone, or all three probe options
@@ -104,10 +92,9 @@ def _cmd_classify(args) -> Outputs:
         probe = GridSpec(tuple(args.probe_origin), args.probe_h, tuple(args.probe_extents))
     report = classify_region(s, probe, args.tol)
     axes = range(1, s.dim + 1)
-    rows = zip(report.points.tolist(), report.eigenvalues.tolist(), report.labels)
     header = ",".join([f"x{k}" for k in axes] + [f"lambda{k}" for k in axes] + ["label"])
-    csv = _csv_text(header, [[*point, *eig, label] for point, eig, label in rows])
-    return [(args.output, csv)]
+    columns = [*report.points.T, *report.eigenvalues.T, report.labels]
+    return [(args.output, _table_chunks(header + "\n", columns))]
 
 
 def _cmd_apply(args) -> Outputs:
@@ -149,16 +136,17 @@ def _cmd_solve(args) -> Outputs:
             f"solve {args.operator} did not converge within {args.max_iter} iterations "
             f"(final residual {report.final_residual:.3e})"
         )
-    row = [args.operator, report.iterations, report.final_residual, "true"]
-    csv = _csv_text("operator,iterations,final_residual,converged", [row])
+    columns = [[args.operator], np.array([report.iterations]), np.array([report.final_residual]),
+               ["true"]]
+    csv = _table_chunks("operator,iterations,final_residual,converged\n", columns)
     return [(args.output, grid_file_chunks(report.solution)), (args.report, csv)]
 
 
 def _cmd_mollify(args) -> Outputs:
     u = load_grid(args.grid)
     kernel = mollifier_for(u.spec, args.eps, args.refine)
-    row = [kernel.mass, kernel.support_radius, kernel.symmetry_deviation]
-    csv = _csv_text("mass,support_radius,symmetry_deviation", [row])
+    columns = np.array([[kernel.mass], [kernel.support_radius], [kernel.symmetry_deviation]])
+    csv = _table_chunks("mass,support_radius,symmetry_deviation\n", columns)
     return [(args.output, grid_file_chunks(convolve(u, kernel))), (args.report, csv)]
 
 
@@ -175,9 +163,9 @@ def _cmd_verify(args) -> Outputs:
     s = stencil(u.spec.dim, u.spec.h, scaled=args.scaled)
     l1, linf = residual(s, u, sample("0" if args.rhs is None else args.rhs, u.spec))
     passed, _ = max_principle_check(u)
-    scaled = "true" if args.scaled else "false"
-    row = [args.operator, scaled, l1, linf, "pass" if passed else "fail"]
-    csv = _csv_text("operator,scaled,residual_l1,residual_linf,max_principle", [row])
+    columns = [[args.operator], ["true" if args.scaled else "false"], np.array([l1]),
+               np.array([linf]), ["pass" if passed else "fail"]]
+    csv = _table_chunks("operator,scaled,residual_l1,residual_linf,max_principle\n", columns)
     return [(args.output, csv)]
 
 
@@ -194,9 +182,9 @@ def _cmd_convergence(args) -> Outputs:
     )
     if not rows[-1].converged:
         raise _NumericalFailure(f"solve at h={rows[-1].h} did not converge")
-    orders = ["exact" if row.exact else "" if row.order is None else row.order for row in rows]
-    table = [[row.h, row.error, order] for row, order in zip(rows, orders)]
-    return [(args.output, _csv_text("h,error,observed_order", table))]
+    orders = ["exact" if r.exact else "" if r.order is None else "%.17g" % r.order for r in rows]
+    table = [np.array([r.h for r in rows]), np.array([r.error for r in rows]), orders]
+    return [(args.output, _table_chunks("h,error,observed_order\n", table))]
 
 
 def _build_parser() -> _ArgumentParser:
@@ -284,7 +272,7 @@ def main(argv: list[str] | None = None) -> int:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             outputs = args.func(args)
         _atomic_write([(path, text) for path, text in outputs if path is not None])
-        sys.stdout.write("".join(text for path, text in outputs if path is None))
+        sys.stdout.write("".join(c for path, text in outputs if path is None for c in text))
         return 0
     except SystemExit as exc:  # --help / --version
         return int(exc.code or 0)

@@ -270,20 +270,31 @@ def _valid_convolve(a: np.ndarray, k: np.ndarray) -> np.ndarray:
     return out
 
 
+def _table_chunks(head: str, columns: Sequence[np.ndarray | Sequence[str]]) -> Iterator[str]:
+    """``head``, then one line per row of ``columns`` in blocks of at most ``_BLOCK_VALUES``
+    rows: a numpy array column's values in ``.17g`` and a ``str`` column's as they are,
+    joined by commas.  One ``%`` row template serves the whole table."""
+    yield head
+    template = ",".join("%.17g" if isinstance(c, np.ndarray) else "%s" for c in columns) + "\n"
+    block = _BLOCK_VALUES
+    for lo in range(0, len(columns[0]), block):
+        parts = [c[lo:lo + block] for c in columns]
+        parts = [p.tolist() if isinstance(p, np.ndarray) else p for p in parts]
+        values = parts[0] if len(parts) == 1 else itertools.chain.from_iterable(zip(*parts))
+        yield (template * len(parts[0])) % tuple(values)
+
+
 def grid_file_chunks(u: GridFunction) -> Iterator[str]:
     """The grid file serialization in pieces: the header lines, then blocks of
     at most ``_BLOCK_VALUES`` values, one per line."""
     spec = u.spec
-    yield (
+    head = (
         f"dim {spec.dim}\n"
         f"origin {' '.join(format(v, '.17g') for v in spec.origin)}\n"
         f"h {format(spec.h, '.17g')}\n"
         f"extents {' '.join(str(e) for e in spec.extents)}\n"
     )
-    flat = u.flat()
-    for lo in range(0, flat.size, _BLOCK_VALUES):
-        block = flat[lo:lo + _BLOCK_VALUES].tolist()
-        yield ("%.17g\n" * len(block)) % tuple(block)
+    return _table_chunks(head, [u.flat()])
 
 
 def grid_file_text(u: GridFunction) -> str:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 import pardiff.grid as grid_module
@@ -19,3 +21,18 @@ def forbid_indicator_transform(monkeypatch):
         monkeypatch.setattr(grid_module, "_cyclic_convolve", value_transform_only)
 
     return forbid
+
+
+@pytest.fixture
+def traced_peak():
+    """A call that runs a function under ``tracemalloc`` and returns its peak in bytes."""
+
+    def peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return peak

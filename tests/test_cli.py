@@ -12,6 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import pardiff.grid as grid_module
 from pardiff import cli, elliptic
 from pardiff.cli import main
 from pardiff.grid import GridFunction, GridSpec, load_grid, sample, save_grid
@@ -1421,19 +1422,70 @@ class TestCsvEmitter:
         assert "elliptic" in expected and "hyperbolic" in expected
         assert out.read_bytes() == expected.encode()
 
-    @pytest.mark.parametrize(
-        "rows",
-        [
-            [[-0.0, 1e-05, 1e300, "text"], [7, -3, 2**60, ""], [0.1, np.float64(-2.5e-310), True, "%s"]],
-            [["h", float("inf"), float("-inf"), float("nan")], [np.float32(0.1), np.int64(12), "a,b", 1.0]],
-            [[0.30000000000000004, -1e-300, 123456789012345678], []],
-            [],
-        ],
-        ids=["signed-zero-exponents-ints-strings", "non-finite-and-numpy-scalars", "ragged", "no-rows"],
-    )
-    def test_rows_match_per_value_format(self, rows, tmp_path):
-        from pardiff.cli import _csv_text
+    def test_probe_csv_peak_per_point_at_301(self, tmp_path, traced_peak):
+        path, out = tmp_path / "tricomi.stn", tmp_path / "labels.csv"
+        path.write_text(self.TRICOMI)
+        probe = ["--probe-origin", "-1.5", "-1.5", "--probe-h", "0.01", "--probe-extents", "301", "301"]
+        argv = ["classify", "--stencil", str(path), *probe, "--output", str(out)]
+        # 623 B per point with the CSV built whole; 106 B in blocks of rows (numpy 2.4)
+        assert traced_peak(lambda: main(argv)) / 301**2 <= 150
+        assert out.read_text().count("\n") == 1 + 301**2
 
+    @pytest.mark.parametrize("block", [1, 2, 4096])
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            [np.array([-0.0, 1e-05, 1e300]), np.array([7, -3, 2**60]),
+             np.array([0.1, -2.5e-310, 5e-324]), ["text", "", "%s"]],
+            [["h", "a,b"], np.array([np.float32(0.1), np.float32(-3e-38)]),
+             np.array([np.int64(12), np.int64(-2**60)]), np.array([float("inf"), float("-inf")]),
+             np.array([float("nan"), 1.0])],
+            [np.array([0.30000000000000004, -1e-300, 123456789012345678.0])],
+            [np.array([]), []],
+        ],
+        ids=["signed-zero-exponents-ints-strings", "non-finite-and-numpy-scalars", "one-column",
+             "no-rows"],
+    )
+    def test_rows_match_per_value_format(self, columns, block, tmp_path, monkeypatch):
+        monkeypatch.setattr(grid_module, "_BLOCK_VALUES", block)
         out = tmp_path / "rows.csv"
-        out.write_text(_csv_text("a,b,c,d", rows), encoding="utf-8")
+        out.write_text("".join(grid_module._table_chunks("a,b,c,d\n", columns)), encoding="utf-8")
+        rows = list(zip(*columns))
         assert out.read_bytes() == _per_value_csv("a,b,c,d", rows).encode()
+
+
+class TestCsvOnStdoutAndInAFile:
+    """A CSV for standard output is joined whole and one for a file is streamed in
+    blocks (here of 2 rows); both give the same bytes, and the grid beside it too."""
+
+    @pytest.mark.parametrize(
+        "argv,target",
+        [
+            (["classify", "--stencil", "{lap2}", "--at", "0.5", "-0"], "--output"),
+            (["classify", "--stencil", "{lap2}", "--probe-origin", "0", "-1", "--probe-h", "0.25",
+              "--probe-extents", "3", "5"], "--output"),
+            (["solve", "laplace", "--grid", "{box}", "--boundary", "x1*x2", "--output", "{grid}"],
+             "--report"),
+            (["mollify", "--grid", "{saddle}", "--eps", "0.5", "--output", "{grid}"], "--report"),
+            (["verify", "--grid", "{saddle}", "--scaled"], "--output"),
+            (["convergence", "--problem", "laplace", "--reference", "exp(x1)*sin(x2)", "--h",
+              "0.25", "0.125", "0.0625", "--origin", "0", "0", "--length", "1"], "--output"),
+            (["convergence", "--problem", "laplace", "--reference", "x1", "--h", "0.5", "0.25",
+              "--origin", "0", "0", "--length", "1"], "--output"),
+        ],
+        ids=["classify-at", "classify-probe", "solve", "mollify", "verify", "convergence",
+             "convergence-exact"],
+    )
+    def test_same_bytes(self, argv, target, lap2, saddle_grid, box_grid, tmp_path, capsys,
+                        monkeypatch):
+        monkeypatch.setattr(grid_module, "_BLOCK_VALUES", 2)
+        grid_path, csv = tmp_path / "u.grd", tmp_path / "t.csv"
+        argv = [a.format(lap2=lap2, box=box_grid, saddle=saddle_grid, grid=grid_path) for a in argv]
+        assert main(argv) == 0
+        joined = capsys.readouterr().out
+        grid_bytes = grid_path.read_bytes() if grid_path.exists() else None
+        assert joined.count("\n") >= 2
+        assert main([*argv, target, str(csv)]) == 0
+        assert capsys.readouterr().out == ""
+        assert csv.read_bytes() == joined.encode()
+        assert (grid_path.read_bytes() if grid_path.exists() else None) == grid_bytes

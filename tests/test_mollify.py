@@ -1,6 +1,5 @@
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -145,14 +144,9 @@ class TestQuadratureInRowBlocks:
         assert got.normalization.hex() == want.normalization.hex()
         assert got.samples.values.tobytes() == want.samples.values.tobytes()
 
-    def test_traced_peak_at_the_2d_limit(self):
+    def test_traced_peak_at_the_2d_limit(self, traced_peak):
         assert 2048**2 <= MAX_QUADRATURE_POINTS
-        tracemalloc.start()
-        try:
-            mollify_module._profile_box_integral(2, 2048)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: mollify_module._profile_box_integral(2, 2048))
         assert peak <= 36 * 2**20  # one 32 MiB plane and its row block's temporaries
 
 
@@ -287,6 +281,12 @@ class TestConvolve:
             if previous is not None:
                 assert deviation < previous
             previous = deviation
+
+    def test_peak_memory_per_node_at_257(self, traced_peak):
+        u = sample("exp(x1)*sin(x2)", GridSpec((0.0, 0.0), 1 / 256, (257, 257)))
+        # measured 40.1 B (numpy 2.4), plus 4 B: half of one more array of doubles
+        peak = traced_peak(lambda: convolve(u, mollifier_for(u.spec, 1 / 8)))
+        assert peak / u.spec.node_count <= 44
 
 
 class TestL1Convergence:

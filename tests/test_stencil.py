@@ -314,6 +314,12 @@ class TestApply:
         ]
         assert min(orders) >= 0.9
 
+    def test_biharmonic_peak_memory_per_node_at_257(self, traced_peak):
+        u = sample("exp(x1)*sin(x2)", GridSpec((0.0, 0.0), 1 / 256, (257, 257)))
+        s = biharmonic_stencil(2, u.spec.h)
+        # measured 17.5 B (numpy 2.4), plus 4 B: half of one more array of doubles
+        assert traced_peak(lambda: s.apply(u)) / u.spec.node_count <= 21.5
+
 
 class TestResidual:
     def test_harmonic_against_zero(self):
@@ -345,6 +351,13 @@ class TestResidual:
         bad = GridFunction(GridSpec((0.05, 0.0), 0.5, (7, 7)), np.zeros((7, 7)))
         with pytest.raises(ValueError, match="incompatible"):
             residual(laplace_stencil(2, 0.5), u, bad)
+
+    def test_peak_memory_per_node_at_257(self, traced_peak):
+        spec = GridSpec((0.0, 0.0), 1 / 256, (257, 257))
+        u, zero = sample("exp(x1)*sin(x2)", spec), sample("0", spec)
+        s = laplace_stencil(2, spec.h)
+        # measured 32.6 B (numpy 2.4), plus 4 B: half of one more array of doubles
+        assert traced_peak(lambda: residual(s, u, zero)) / spec.node_count <= 36.5
 
 
 class TestStencilFiles:
