@@ -130,12 +130,12 @@ def _cmd_solve(args) -> Outputs:
     start = time.perf_counter()
     report = solve(*inputs, args.tol, args.max_iter)
     elapsed = time.perf_counter() - start
-    print(f"solve {args.operator}: {elapsed:.3f}s wall time", file=sys.stderr)
     if not report.converged:
         raise _NumericalFailure(
             f"solve {args.operator} did not converge within {args.max_iter} iterations "
             f"(final residual {report.final_residual:.3e})"
         )
+    print(f"solve {args.operator}: {elapsed:.3f}s wall time", file=sys.stderr)
     columns = [[args.operator], np.array([report.iterations]), np.array([report.final_residual]),
                ["true"]]
     csv = _table_chunks("operator,iterations,final_residual,converged\n", columns)

@@ -30,7 +30,7 @@ import numpy as np
 from .expr import CoeffExpr, _first_failing, parse
 from .grid import (
     MAX_NODES, GridFunction, GridSpec, Margins, _check_length, _check_tolerance,
-    _lattice_offset, _normalize_margins, _valid_convolve, sample, shrink,
+    _lattice_offset, _normalize_margins, _scale_factor, _valid_convolve, sample, shrink,
 )
 from .stencil import laplace_stencil
 
@@ -136,15 +136,17 @@ def newtonian_potential(
             f"source is not compactly supported: nonzero boundary value at node "
             f"{_first_failing(supported)}"
         )
+    scale = _scale_factor(source.spec.h, n)
     self_value = fs.cell_average(source.spec.h)
     offset = _lattice_offset(source.spec, targets)
     separated = _separated_sources(source, targets) if n == 2 and offset is None else None
     if offset is not None:
         out = _hockney_potential(fs, source, targets.extents, offset, self_value)
     elif separated is not None:
-        out = _multipole_potential(source.spec.h, targets, *separated)
+        out = _multipole_potential(targets, *separated)
     else:
         out = _direct_potential(fs, source, targets, self_value)
+    out *= scale
     return GridFunction(targets, out.reshape(targets.extents))
 
 
@@ -205,7 +207,7 @@ def _squared_tables(differences: Sequence[np.ndarray], h: float):
     if sum(float(t.max(initial=0.0)) for t in tables) == math.inf:
         k = math.frexp(max(float(np.abs(d).max()) for d in differences))[1] - 500
         tables = [np.square(np.ldexp(d, -k)) for d in differences]
-    return tables, math.ldexp(1e-9 * h, -k) ** 2, k
+    return tables, _scale_factor(math.ldexp(1e-9 * h, -k), 2), k
 
 
 def _hockney_potential(
@@ -215,7 +217,7 @@ def _hockney_potential(
     offset: Sequence[int],
     self_value: float,
 ) -> np.ndarray:
-    """The lattice sum for targets ``offset`` cells from the source origin, by FFT.
+    """The lattice sum less ``h^n`` for targets ``offset`` cells from the source origin, by FFT.
 
     Target node t sees source node s at displacement ``offset + t - s``, so
     the sum is the valid convolution of the source with the kernel tabulated
@@ -230,7 +232,7 @@ def _hockney_potential(
     d2 = sum(np.ix_(*tables))
     table = _kernel_of_squared_distance(fs, d2, k=k)
     table[d2 <= near_sq] = self_value
-    return h**fs.dim * _valid_convolve(table, source.values)
+    return _valid_convolve(table, source.values)
 
 
 def _separated_sources(source: GridFunction, targets: GridSpec):
@@ -267,7 +269,6 @@ def _separated_sources(source: GridFunction, targets: GridSpec):
 
 
 def _multipole_potential(
-    h: float,
     targets: GridSpec,
     centre: complex,
     radius: float,
@@ -275,18 +276,17 @@ def _multipole_potential(
     weights: np.ndarray,
     terms: int,
 ) -> np.ndarray:
-    """The plane lattice sum at far targets by a multipole expansion about ``centre``.
+    """The plane lattice sum less ``h^2`` at far targets, by an expansion about ``centre``.
 
     With points as complex numbers and ``|s - c| < |t - c|``,
     ``log(t - s) = log(t - c) - sum_k ((s - c) / (t - c))^k / k``, so the sum is
-    ``h^2 / 2 pi * Re[M_0 log(t - c) - sum_{k=1..p} M_k (R / (t - c))^k]`` with
+    ``1 / 2 pi * Re[M_0 log(t - c) - sum_{k=1..p} M_k (R / (t - c))^k]`` with
     ``M_k = sum_s f_s ((s - c) / R)^k / k`` (Greengard & Rokhlin, J. Comput.
     Phys. 1987): every power is at most 1 in magnitude.  The series is summed
     by Horner's rule in ``R / (t - c)``, one pass over the targets per term,
     and the ``p`` terms of :func:`_separated_sources` leave a tail of at most
     ``2^-53 sum|f|``.  High powers that underflow for distant targets are
-    benign.  ``h^2`` is a numpy square, so its overflow follows ``np.errstate``
-    like the rest of the sum's.
+    benign.
     """
     with np.errstate(under="ignore"):
         moments = []
@@ -302,7 +302,7 @@ def _multipole_potential(
         for moment in reversed(moments):
             series += moment
             series *= ratio
-        return np.square(h) / (2.0 * math.pi) * (weights.sum() * np.log(np.abs(z)) - series.real)
+        return (1.0 / (2.0 * math.pi)) * (weights.sum() * np.log(np.abs(z)) - series.real)
 
 
 def _direct_potential(
@@ -311,7 +311,7 @@ def _direct_potential(
     targets: GridSpec,
     self_value: float,
 ) -> np.ndarray:
-    """The lattice sum on the nodes of ``targets``, shape (leading nodes, last-axis nodes).
+    """The lattice sum less ``h^n`` on the nodes of ``targets``, shape (leading, last nodes).
 
     Both grids are tensor grids, so the squared distance from target node
     ``(i_0, i_1, ...)`` to nonzero source node ``s`` is
@@ -326,7 +326,6 @@ def _direct_potential(
     come from :func:`_squared_tables`, scaled when the distances' squares
     pass the float range.
     """
-    n = fs.dim
     h = source.spec.h
     keep = source.values != 0.0
     weights = source.values[keep]
@@ -358,7 +357,7 @@ def _direct_potential(
             if near is not None:
                 vals[near] = self_value
             sums = vals.reshape(math.prod(block), count) @ weights
-            out[lo : lo + block[0], col : col + block[1]] = h**n * sums.reshape(block)
+            out[lo : lo + block[0], col : col + block[1]] = sums.reshape(block)
     return out
 
 
@@ -397,8 +396,8 @@ def _sor_dirichlet(
     ``rhs`` is the Poisson right-hand side, on the grid of ``boundary``, or
     None for Laplace.  The residual is the max norm of the unscaled centered
     sum over the interior, times ``h^(-2)`` for Poisson, so that it is
-    measured against the scaled operator; an ``h^(-2)`` that is not a finite
-    float raises ``OverflowError`` before any sweep.
+    measured against the scaled operator; an ``h^2`` or ``h^(-2)`` that
+    overflows raises ``OverflowError`` before any sweep.
 
     An interior node is red when the sum of its interior indices is even.
     The grid is copied into an array whose axes after the first are padded
@@ -456,8 +455,7 @@ def _sor_dirichlet(
     if rhs is not None:
         if rhs.spec != spec:
             raise ValueError("right-hand side and boundary data must share one grid")
-        if h * h == 0.0 or math.isinf(1.0 / (h * h)):
-            raise OverflowError(f"scale factor h^(-2) overflows at h = {h!r}")
+        _scale_factor(h, 2), _scale_factor(h, -2)  # taken as h * h below, for their bits
         residual_scale = 1.0 / (h * h)
     extents = spec.extents
     n = spec.dim

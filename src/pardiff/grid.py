@@ -146,7 +146,7 @@ def sample(expression: Union[CoeffExpr, str], spec: GridSpec) -> GridFunction:
 def norm(u: GridFunction, kind: str) -> float:
     """Discrete norm: ``l1`` is ``h^n * sum(|u|)``, ``linf`` is ``max(|u|)``."""
     if kind == "l1":
-        return float(u.spec.h ** u.spec.dim * np.abs(u.values).sum())
+        return float(_scale_factor(u.spec.h, u.spec.dim) * np.abs(u.values).sum())
     if kind == "linf":
         return float(np.abs(u.values).max())
     raise ValueError(f"unknown norm kind {kind!r} (expected 'l1' or 'linf')")
@@ -190,6 +190,17 @@ def _check_length(value: float, what: str) -> None:
     """Refuse a length, spacing or radius that is not positive and finite; NaN is refused too."""
     if not (value > 0.0 and math.isfinite(value)):
         raise ValueError(f"{what} must be positive and finite, got {value}")
+
+
+def _scale_factor(base: float, p: int, name: str = "h") -> float:
+    """``base ** p`` by Python's float power, 0 where it underflows: every power of a spacing
+    or a radius.  One that overflows raises ``scale factor h^(-2) overflows at h = 1e-200``."""
+    base = float(base)
+    try:
+        return base**p
+    except OverflowError:
+        power = p if p >= 0 else f"({p})"
+        raise OverflowError(f"scale factor {name}^{power} overflows at {name} = {base!r}") from None
 
 
 def _check_tolerance(tol: float) -> None:

@@ -14,7 +14,9 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .grid import GridFunction, GridSpec, _check_length, _same_pitch, _valid_convolve, restrict
+from .grid import (
+    GridFunction, GridSpec, _check_length, _same_pitch, _scale_factor, _valid_convolve, restrict,
+)
 
 __all__ = [
     "MollifierKernel",
@@ -111,7 +113,7 @@ def _profile_box_integral(dim: int, panels: int) -> float:
             for lo in range(0, panels, rows):
                 plane[lo:lo + rows] = bump(sq[lo:lo + rows, None] + sq[None, :] + offset)
             total += float(plane.sum())
-    return total * (2.0 / panels) ** dim
+    return total * _scale_factor(2.0 / panels, dim)
 
 
 def _radius_cells(eps: float, spacing: float) -> float:
@@ -152,16 +154,16 @@ def make_mollifier(dim: int, eps: float, spacing: float, refine: int = 8) -> Mol
     axis = np.arange(-r, r + 1) * spacing
     meshes = np.meshgrid(*([axis] * dim), indexing="ij")
     s2 = sum((m / eps) ** 2 for m in meshes)
-    values = bump(s2) / (normalization * eps**dim)
-
-    raw_mass = float(spacing**dim * values.sum())
+    _scale_factor(eps, -dim, "eps")  # the kernel's peak is of the order of eps^(-n)
+    values = bump(s2) / (normalization * _scale_factor(eps, dim, "eps"))
+    raw_mass = float(_scale_factor(spacing, dim) * values.sum())
     if abs(raw_mass - 1.0) > 0.1:
         raise MollifierError(
             f"kernel resolution too coarse: discrete mass {raw_mass:.6f} "
             "deviates from 1 by more than 10% before normalization"
         )
     values = values / raw_mass
-    mass = float(spacing**dim * values.sum())
+    mass = float(_scale_factor(spacing, dim) * values.sum())
     spec = GridSpec((-r * spacing,) * dim, spacing, (2 * r + 1,) * dim)
     return MollifierKernel(
         dim=dim,
@@ -204,7 +206,7 @@ def convolve(f: GridFunction, kernel: MollifierKernel) -> GridFunction:
         raise MollifierError(_EMPTY_REGION)
     r = kernel.radius_cells
     out_spec = spec.shrunk([r] * spec.dim, [r] * spec.dim)
-    return GridFunction(out_spec, spec.h**spec.dim * _valid_convolve(f.values, kv))
+    return GridFunction(out_spec, _scale_factor(spec.h, spec.dim) * _valid_convolve(f.values, kv))
 
 
 def l1_convergence(
@@ -227,10 +229,8 @@ def l1_convergence(
     smoothed = [convolve(f, k) for k in kernels]
     common = smoothed[0].spec  # widest kernel shrinks the most
     f_common = restrict(f, common)
-    errors = []
-    for s in smoothed:
-        diff = restrict(s, common).values - f_common.values
-        errors.append(float(f.spec.h ** f.spec.dim * np.abs(diff).sum()))
+    diffs = (restrict(s, common).values - f_common.values for s in smoothed)
+    errors = [float(_scale_factor(f.spec.h, f.spec.dim) * np.abs(d).sum()) for d in diffs]
     non_increasing = all(b <= a * 1.05 for a, b in zip(errors, errors[1:]))
     return errors, non_increasing
 
@@ -261,5 +261,5 @@ def derivative_commute(f: GridFunction, kernel: MollifierKernel, axis: int) -> f
     pad[a] = (2, 2)
     dk = centered(np.pad(kernel.samples.values, pad))
 
-    side_b = h**dim * _valid_convolve(f.values, dk)
+    side_b = _scale_factor(h, dim) * _valid_convolve(f.values, dk)
     return float(np.abs(side_a - side_b).max())

@@ -24,7 +24,7 @@ import numpy as np
 from . import expr as ex
 from .grid import (
     GridFunction, GridSpec, _atomic_write, _check_length, _content_lines,
-    _header_fields, _read_text, _same_pitch, norm, restrict,
+    _header_fields, _read_text, _same_pitch, _scale_factor, norm, restrict,
 )
 
 __all__ = [
@@ -186,12 +186,7 @@ class Stencil:
             )
             out += c * u.values[window]
         if self.scale_exp:
-            try:
-                out *= self.h ** (-self.scale_exp)
-            except OverflowError:
-                raise OverflowError(
-                    f"scale factor h^(-{self.scale_exp}) overflows at h = {self.h!r}"
-                ) from None
+            out *= _scale_factor(self.h, -self.scale_exp)
         finite = np.isfinite(out)
         if not finite.all():
             raise OverflowError(f"stencil result overflows at node {ex._first_failing(finite)}")

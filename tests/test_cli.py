@@ -491,6 +491,19 @@ class TestSolveTiming:
         err = capsys.readouterr().err
         assert re.fullmatch(f"solve {operator}: \\d+\\.\\d{{3}}s wall time\n", err)
 
+    def test_a_solve_that_does_not_converge_prints_only_its_error_line(
+        self, box_grid, tmp_path, capsys
+    ):
+        out = tmp_path / "u.grd"
+        argv = ["solve", "laplace", "--grid", box_grid, "--boundary=x1^2", "--max-iter", "2"]
+        assert main([*argv, "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(
+            r"error: solve laplace did not converge within 2 iterations "
+            r"\(final residual \d\.\d{3}e[+-]\d+\)\n", err
+        ), err
+        assert not out.exists()
+
     def test_missing_lap_boundary_is_refused_before_the_clock_starts(
         self, box_grid, tmp_path, capsys, monkeypatch
     ):
@@ -733,6 +746,49 @@ class TestPotentialCommand:
         src = tmp_path / "src.grd"
         save_grid(sample("1", spec), str(src))
         assert main(["potential", "--source", str(src), "--output", str(tmp_path / "o.grd")]) == 1
+
+
+class TestScaleFactorOverflow:
+    """A power of the spacing or of a radius past the float range exits 2 with one line
+    that names it, and no output file.  Sources are 7^dim with ones on the interior 3^dim."""
+
+    @staticmethod
+    def grid(tmp_path, name, h, dim=2, origin=0.0):
+        values = np.zeros((7,) * dim)
+        values[(slice(2, 5),) * dim] = 1.0
+        path = tmp_path / name
+        save_grid(GridFunction(GridSpec((origin,) * dim, h, (7,) * dim), values), str(path))
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "argv, factor",
+        [
+            (["potential", "--source={big}"], "h^2 overflows at h = 1e+200"),
+            (["potential", "--source={big3}"], "h^3 overflows at h = 1e+150"),
+            (["potential", "--source={big}", "--targets={far}"], "h^2 overflows at h = 1e+200"),
+            (["mollify", "--grid={big}", "--eps", "3e200"], "eps^2 overflows at eps = 3e+200"),
+            (["mollify", "--grid={small}", "--eps", "2e-200"],
+             "eps^(-2) overflows at eps = 2e-200"),
+            (["verify", "--grid={big}"], "h^2 overflows at h = 1e+200"),
+            (["solve", "poisson", "--grid={big}", "--rhs=0"], "h^2 overflows at h = 1e+200"),
+            (["solve", "poisson", "--grid={big}", "--rhs=1"], "h^2 overflows at h = 1e+200"),
+            (["solve", "biharmonic", "--grid={big}", "--rhs=1", "--lap-boundary=0"],
+             "h^2 overflows at h = 1e+200"),
+        ],
+        ids=["potential-fft-2d", "potential-fft-3d", "potential-expansion", "mollify-eps^n",
+             "mollify-eps^(-n)", "verify", "poisson-rhs-0", "poisson-rhs-1", "biharmonic"],
+    )
+    def test_exits_2_with_one_line_and_no_output(self, tmp_path, capsys, argv, factor):
+        grids = {
+            "big": self.grid(tmp_path, "big.grd", 1e200),
+            "small": self.grid(tmp_path, "small.grd", 1e-200),
+            "big3": self.grid(tmp_path, "big3.grd", 1e150, dim=3),
+            "far": self.grid(tmp_path, "far.grd", 1.0, origin=1e203),  # the plane expansion
+        }
+        out = tmp_path / "out"
+        assert main([a.format(**grids) for a in argv] + ["--output", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: scale factor {factor}\n"
+        assert not out.exists()
 
 
 class TestNonFiniteGridNodes:

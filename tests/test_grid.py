@@ -1,6 +1,8 @@
+import dataclasses
 import itertools
 import math
 import os
+import re
 import stat
 import tracemalloc
 from types import SimpleNamespace
@@ -9,6 +11,10 @@ import numpy as np
 import pytest
 
 import pardiff.grid as grid_module
+from pardiff import elliptic
+from pardiff.elliptic import (
+    FundamentalSolution, newtonian_potential, solve_biharmonic, solve_poisson_dirichlet,
+)
 from pardiff.expr import ExprEvalError
 from pardiff.grid import (
     MAX_NODES,
@@ -26,6 +32,10 @@ from pardiff.grid import (
     save_grid,
     shrink,
 )
+from pardiff.mollify import (
+    convolve, derivative_commute, l1_convergence, make_mollifier, mollifier_for,
+)
+from pardiff.stencil import biharmonic_stencil, laplace_stencil
 
 
 class TestGridSpec:
@@ -791,3 +801,132 @@ def _umask() -> int:
     mask = os.umask(0)
     os.umask(mask)
     return mask
+
+
+def _block_grid(h: float, dim: int = 2) -> GridFunction:
+    """7 nodes per axis at pitch ``h``, ones on the interior 3^dim block and zeros around it."""
+    values = np.zeros((7,) * dim)
+    values[(slice(2, 5),) * dim] = 1.0
+    return GridFunction(GridSpec((0.0,) * dim, h, (7,) * dim), values)
+
+
+def _kernel_at(h: float):
+    """A 5 x 5 kernel built at pitch 1 and carried to pitch ``h``, where it could not be built."""
+    k = mollifier_for(_block_grid(1.0).spec, 2.0)
+    samples = GridFunction(GridSpec((-2.0 * h,) * 2, h, (5, 5)), k.samples.values)
+    return dataclasses.replace(k, eps=2.0 * h, spacing=h, samples=samples)
+
+
+def _no_sweep(*args, **kwargs):
+    raise AssertionError("an SOR sweep started")
+
+
+def _poisson(h):
+    g = _block_grid(h)
+    return solve_poisson_dirichlet(g, g)
+
+
+def _biharmonic(h):
+    g = _block_grid(h)
+    return solve_biharmonic(g, g, g)
+
+
+# call, factor named, spacing or radius as printed
+OVERFLOWS = {
+    "norm": (lambda: norm(_block_grid(1e200), "l1"), "h^2", "h = 1e+200"),
+    "apply-laplace": (
+        lambda: laplace_stencil(2, 1e-200, scaled=True).apply(_block_grid(1e-200)),
+        "h^(-2)", "h = 1e-200",
+    ),
+    "apply-biharmonic": (
+        lambda: biharmonic_stencil(2, 1e-100, scaled=True).apply(_block_grid(1e-100)),
+        "h^(-4)", "h = 1e-100",
+    ),
+    "make_mollifier-eps^n": (lambda: make_mollifier(2, 3e200, 1e200), "eps^2", "eps = 3e+200"),
+    "make_mollifier-eps^(-n)": (
+        lambda: make_mollifier(2, 2e-200, 1e-200), "eps^(-2)", "eps = 2e-200",
+    ),
+    "convolve": (lambda: convolve(_block_grid(1e200), _kernel_at(1e200)), "h^2", "h = 1e+200"),
+    "l1_convergence": (
+        lambda: l1_convergence(_block_grid(1e200), [3e200]), "eps^2", "eps = 3e+200",
+    ),
+    "derivative_commute": (
+        lambda: derivative_commute(_block_grid(1e200), _kernel_at(1e200), 1),
+        "h^2", "h = 1e+200",
+    ),
+    "poisson-h^2": (lambda: _poisson(1e200), "h^2", "h = 1e+200"),
+    "poisson-h^(-2)": (lambda: _poisson(1e-200), "h^(-2)", "h = 1e-200"),
+    "biharmonic": (lambda: _biharmonic(1e200), "h^2", "h = 1e+200"),
+}
+
+# targets' origin in cells of the source pitch, and the path that sums
+POTENTIAL_PATHS = {
+    "fft-2d": (2, 0.0, "_hockney_potential"),
+    "fft-3d": (3, 0.0, "_hockney_potential"),
+    "expansion-2d": (2, 1000.5, "_multipole_potential"),
+    "direct-2d": (2, 0.5, "_direct_potential"),
+    "direct-3d": (3, 0.5, "_direct_potential"),
+}
+
+
+class TestScaleFactor:
+    """Every power of a spacing or a radius comes from ``grid._scale_factor``, which names
+    the factor and its base when the power overflows."""
+
+    @pytest.mark.parametrize(
+        "base, p, name, value",
+        [(0.25, 2, "h", 0.0625), (0.25, -2, "h", 16.0), (3, 2, "eps", 9.0), (1e200, -2, "h", 0.0),
+         (np.float64(0.5), 3, "h", 0.125)],
+    )
+    def test_the_power_as_python_takes_it(self, base, p, name, value):
+        got = grid_module._scale_factor(base, p, name)
+        assert type(got) is float and got == value
+
+    @pytest.mark.parametrize(
+        "base, p, name, message",
+        [(1e200, 2, "h", "scale factor h^2 overflows at h = 1e+200"),
+         (1e-200, -2, "h", "scale factor h^(-2) overflows at h = 1e-200"),
+         (np.float64(1e-100), -4, "h", "scale factor h^(-4) overflows at h = 1e-100"),
+         (3e200, 2, "eps", "scale factor eps^2 overflows at eps = 3e+200")],
+    )
+    def test_an_overflow_is_named(self, base, p, name, message):
+        with pytest.raises(OverflowError, match=f"^{re.escape(message)}$"):
+            grid_module._scale_factor(base, p, name)
+
+    @pytest.mark.parametrize("case", list(OVERFLOWS))
+    def test_every_routed_function_names_its_factor(self, case, monkeypatch):
+        monkeypatch.setattr(elliptic, "_Color", _no_sweep)
+        call, factor, at = OVERFLOWS[case]
+        message = re.escape(f"scale factor {factor} overflows at {at}")
+        with pytest.raises(OverflowError, match=f"^{message}$"):
+            call()
+
+    @pytest.mark.parametrize("case", list(POTENTIAL_PATHS))
+    def test_potential_fails_before_any_sum(self, case, monkeypatch):
+        dim, cells, path = POTENTIAL_PATHS[case]
+        h = 1e200 if dim == 2 else 1e150
+        fs = FundamentalSolution(dim)
+        paths = ("_hockney_potential", "_multipole_potential", "_direct_potential")
+        taken = []
+
+        def spy(name):
+            func = getattr(elliptic, name)
+
+            def call(*args):
+                taken.append(name)
+                return func(*args)
+
+            return call
+
+        def targets(pitch):
+            return GridSpec((cells * pitch,) * dim, pitch, (7,) * dim)
+
+        for name in paths:
+            monkeypatch.setattr(elliptic, name, spy(name))
+        newtonian_potential(fs, _block_grid(1.0, dim), targets(1.0))
+        assert taken == [path]  # the same geometry at pitch 1 takes this path
+        taken.clear()
+        message = re.escape(f"scale factor h^{dim} overflows at h = {h!r}")
+        with pytest.raises(OverflowError, match=f"^{message}$"):
+            newtonian_potential(fs, _block_grid(h, dim), targets(h))
+        assert taken == []
