@@ -157,7 +157,7 @@ def _kernel_of_squared_distance(
 
     ``k`` (ints, or an array of them) adds ``k log(2) / 2 pi`` in the plane and
     multiplies by ``2^(k (2 - n))`` otherwise.  The values go to ``out`` when
-    given and ``k`` is 0 (``out=d2`` overwrites the distances).
+    given (``out=d2`` overwrites the distances).
     """
     n = fs.dim
     with np.errstate(divide="ignore"):
@@ -169,7 +169,8 @@ def _kernel_of_squared_distance(
             vals = np.power(d2, (2.0 - n) / 2.0, out=out)
             vals *= -1.0 / ((n - 2.0) * fs.unit_sphere_area)
     if np.any(k):
-        vals = vals + k * (math.log(2.0) / math.tau) if n == 2 else np.ldexp(vals, k * (2 - n))
+        ufunc, arg = (np.add, k * (math.log(2.0) / math.tau)) if n == 2 else (np.ldexp, k * (2 - n))
+        vals = ufunc(vals, arg, out=out)
     return vals
 
 
@@ -194,12 +195,12 @@ def _kernel_of_offsets(fs: FundamentalSolution, offsets: Sequence, total: Callab
         return _kernel_of_squared_distance(fs, d2, k=k)
 
 
-def _squared_tables(differences: Sequence[np.ndarray], h: float):
-    """The per-axis ``differences`` squared, the self-cell bound ``near_sq`` and the scale ``k``.
+def _squared_tables(differences: Sequence[np.ndarray]):
+    """The per-axis ``differences`` squared and their scale ``k``.
 
     When the sum of the squares' maxima passes the float range, each difference
     is first divided by ``2^k``, with ``2^(k+500)`` above the largest; else
-    ``k = 0``.  A squared distance up to ``(1e-9 h / 2^k)^2`` is a self cell.
+    ``k = 0``.
     """
     with np.errstate(over="ignore"):
         tables = [np.square(d) for d in differences]
@@ -207,7 +208,7 @@ def _squared_tables(differences: Sequence[np.ndarray], h: float):
     if sum(float(t.max(initial=0.0)) for t in tables) == math.inf:
         k = math.frexp(max(float(np.abs(d).max()) for d in differences))[1] - 500
         tables = [np.square(np.ldexp(d, -k)) for d in differences]
-    return tables, _scale_factor(math.ldexp(1e-9 * h, -k), 2), k
+    return tables, k
 
 
 def _hockney_potential(
@@ -222,16 +223,17 @@ def _hockney_potential(
     Target node t sees source node s at displacement ``offset + t - s``, so
     the sum is the valid convolution of the source with the kernel tabulated
     on displacements ``offset - (Ns-1) ... offset + Nt - 1`` per axis; that
-    table's extent ``Ns + Nt - 1`` is never below the source's ``Ns``.  Its
-    squares and self cells are the direct sum's (:func:`_squared_tables`).
+    table's extent ``Ns + Nt - 1`` is never below the source's ``Ns``.  The
+    kernel is built in the sum of the direct sum's squares (:func:`_squared_tables`).
+    Its self cell is where every axis's square is 0: the zero displacement
+    ``Ns - 1 - offset`` when the table holds it, a box where ``h^2`` underflows.
     """
-    h = source.spec.h
     axes = zip(offset, source.spec.extents, target_extents)
-    displacements = [h * (float(o) + np.arange(1 - s, t)) for o, s, t in axes]
-    tables, near_sq, k = _squared_tables(displacements, h)
+    displacements = [source.spec.h * (float(o) + np.arange(1 - s, t)) for o, s, t in axes]
+    tables, k = _squared_tables(displacements)
     d2 = sum(np.ix_(*tables))
-    table = _kernel_of_squared_distance(fs, d2, k=k)
-    table[d2 <= near_sq] = self_value
+    table = _kernel_of_squared_distance(fs, d2, out=d2, k=k)
+    table[np.ix_(*(t == 0.0 for t in tables))] = self_value
     return _valid_convolve(table, source.values)
 
 
@@ -321,10 +323,10 @@ def _direct_potential(
     indices.  Each run of leading rows gathers its leading sum from the tables
     once; a block's distances are then one broadcast add of that sum and the
     last axis's table into a reused buffer, on which the kernel is taken in
-    place.  The near-pair test runs only when the leading sum holds a near
-    entry, since no sum of squares is below its leading terms.  The tables
-    come from :func:`_squared_tables`, scaled when the distances' squares
-    pass the float range.
+    place.  A pair within ``1e-9 h`` is a self cell; that test runs only when
+    the leading sum holds a near entry, since no sum of squares is below its
+    leading terms.  The tables come from :func:`_squared_tables`, scaled when
+    the distances' squares pass the float range.
     """
     h = source.spec.h
     keep = source.values != 0.0
@@ -334,7 +336,8 @@ def _direct_potential(
         targets.axis_coords(a)[:, None] - source.spec.axis_coords(a)[i]
         for a, i in enumerate(np.nonzero(keep))
     ]
-    tables, near_sq, k = _squared_tables(differences, h)
+    tables, k = _squared_tables(differences)
+    near_sq = _scale_factor(math.ldexp(1e-9 * h, -k), 2)
     *leading, last = targets.extents
     # About 2 MB per (block x sources) temporary, so each fits one core's L2 cache.
     chunk = max(1, 250_000 // max(1, count))

@@ -149,6 +149,11 @@ def make_mollifier(dim: int, eps: float, spacing: float, refine: int = 8) -> Mol
             f"{MAX_QUADRATURE_POINTS} points: lower refine"
         )
     normalization = _profile_box_integral(dim, math.ceil(panels))
+    if normalization == 0.0:  # every point at |x| >= 1: two panels per axis from 4-D up
+        raise MollifierError(
+            f"normalization quadrature of {math.ceil(panels)} panels per axis in {dim}-D misses "
+            f"the kernel's support: raise refine (now {refine})"
+        )
 
     r = int(_radius_cells(eps, spacing))
     axis = np.arange(-r, r + 1) * spacing

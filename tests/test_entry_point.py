@@ -75,6 +75,7 @@ AFFINE = GridSpec((0, 0), 1 / 256, (257, 257))
 INPUTS = {
     "box.grd": lambda: _ring("x1*x2", GridSpec((0, 0), 0.25, (5, 5))),
     "box9.grd": lambda: sample("x1*x2", GridSpec((0, 0), 0.25, (9, 9))),
+    "box5d.grd": lambda: _zeros((0,) * 5, 0.25, (5,) * 5),
     "poi.grd": lambda: _ring("sin(x1)*sin(x2)", GridSpec((0, 0), 1 / 64, (65, 65))),
     "aff.grd": lambda: sample("1 + 2*x1 - 3*x2", AFFINE),
     "pos.grd": lambda: sample("2 + x1 - x2", AFFINE),
@@ -185,9 +186,13 @@ def test_runs_twice_to_the_same_bytes(workdir, command):
      ("classify --stencil lap2.stn --probe-origin 0 0 --probe-h 1 --probe-extents 1 -1.5", 1,
       "error: argument --probe-extents: invalid int value: '-1.5'\n", ["lap2.stn"]),
      ("mollify --grid box9.grd --eps 0.75 --report missing/r.csv --output m.grd", 1,
-      "error: [Errno 2] No such file or directory: 'missing/r.csv'\n", ["box9.grd"])],
+      "error: [Errno 2] No such file or directory: 'missing/r.csv'\n", ["box9.grd"]),
+     ("mollify --grid box5d.grd --eps 0.25 --refine 1 --output m.grd", 2,
+      "error: normalization quadrature of 2 panels per axis in 5-D misses the kernel's "
+      "support: raise refine (now 1)\n", ["box5d.grd"])],
     ids=["nan-tolerance", "negative-tolerance", "abbreviated-option", "superscript",
-         "invalid-utf8", "negative-list-value", "report-in-missing-directory"],
+         "invalid-utf8", "negative-list-value", "report-in-missing-directory",
+         "quadrature-misses-the-kernel"],
 )
 def test_one_error_line_and_no_output(workdir, command, code, err, left):
     """Each of two runs exits ``code`` with the one line ``err`` and leaves only its inputs."""

@@ -1,5 +1,7 @@
 import itertools
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -112,6 +114,18 @@ class TestMakeMollifier:
         assert 161**3 <= MAX_QUADRATURE_POINTS < 162**3
         with pytest.raises(MollifierError, match="quadrature"):
             make_mollifier(dim, eps, spacing, refine)
+
+    @pytest.mark.parametrize("dim", [4, 5])
+    def test_quadrature_that_misses_the_kernel_refused(self, dim):
+        """Two panels per axis put every point at |x|^2 = dim / 4 >= 1, outside the bump."""
+        message = (
+            f"normalization quadrature of 2 panels per axis in {dim}-D misses the kernel's "
+            "support: raise refine (now 1)"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MollifierError, match=f"^{re.escape(message)}$"):
+                make_mollifier(dim, 1.0, 1.0, refine=1)
 
 
 def whole_plane_integral(dim, panels):
