@@ -22,7 +22,7 @@ themselves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -118,17 +118,10 @@ def newtonian_potential(
     over that cell, instead of the singular point value.  The source must
     vanish on its grid boundary layer; an all-zero source gives exact zeros.
 
-    Targets on the source lattice (``grid._lattice_offset``) see a
-    translation-invariant kernel, so the sum is a zero-padded discrete
-    convolution evaluated by FFT (Hockney's free-space method).  Plane
-    targets off the lattice that are all far from the sources
-    (:func:`_separated_sources`) take a multipole expansion about the
-    sources' centre.  Any other targets take the direct sum over (target,
-    source) pairs, with each pair's squared distance built from per-axis
-    distance tables.
+    :func:`_potential_plan` is the one place the path is chosen: Hockney's
+    lattice FFT, the plane expansion or the direct sum.
     """
-    n = fs.dim
-    if source.spec.dim != n or targets.dim != n:
+    if not source.spec.dim == targets.dim == fs.dim:
         raise ValueError("source and target dimensions must match the kernel dimension")
     supported = ~_boundary_mask(source.spec.extents) | (source.values == 0.0)
     if not supported.all():
@@ -136,18 +129,74 @@ def newtonian_potential(
             f"source is not compactly supported: nonzero boundary value at node "
             f"{_first_failing(supported)}"
         )
-    scale = _scale_factor(source.spec.h, n)
-    self_value = fs.cell_average(source.spec.h)
-    offset = _lattice_offset(source.spec, targets)
-    separated = _separated_sources(source, targets) if n == 2 and offset is None else None
-    if offset is not None:
-        out = _hockney_potential(fs, source, targets.extents, offset, self_value)
-    elif separated is not None:
-        out = _multipole_potential(targets, *separated)
-    else:
-        out = _direct_potential(fs, source, targets, self_value)
-    out *= scale
+    plan = _potential_plan(source, targets)
+    path = dict(fft=_hockney_potential, expansion=_multipole_potential, direct=_direct_potential)
+    out = path[plan.path](fs, source, targets, plan)
+    out *= plan.scale
     return GridFunction(targets, out.reshape(targets.extents))
+
+
+@dataclass(frozen=True)
+class _PotentialPlan:
+    """The path that sums one potential and the inputs it reads, from :func:`_potential_plan`."""
+
+    path: str
+    scale: float
+    offset: tuple[int, ...] | None = None
+    coords: tuple[np.ndarray, ...] = ()
+    weights: np.ndarray | None = None
+    centre: complex = 0j
+    radius: float = 0.0
+    scaled: np.ndarray | None = None
+    terms: int = 0
+
+
+def _potential_plan(source: GridFunction, targets: GridSpec) -> _PotentialPlan:
+    """The path of :func:`newtonian_potential` and the inputs it reads.
+
+    ``scale``, ``h^n``, is taken first, so its overflow raises before any
+    path runs.  Targets on the source lattice (``grid._lattice_offset``) see
+    a translation-invariant kernel, so the sum is a zero-padded discrete
+    convolution evaluated by FFT (Hockney's free-space method) at their
+    whole-cell ``offset``.  Off the lattice, the nonzero sources' per-axis
+    ``coords`` and ``weights`` are taken once.  Plane targets that are all
+    far from the sources take a multipole expansion about ``c``
+    (``centre``), the centre of the nonzero nodes' bounding box, with ``R``
+    (``radius``) their largest distance from it.  The targets are far when
+    every target node is at least ``max(2R, h)`` from ``c``.  Then
+    ``rho = R / min|t - c|`` is at most 1/2, and every target is at least
+    ``h/2`` from every source (two nonzero nodes give ``R >= h/2``), so no
+    self cell arises.  The ``scaled`` offsets ``(s - c) / R``, as complex
+    numbers ``x1 + i x2``, are taken as 0 when ``R = 0``, and p (``terms``)
+    is the smallest term count for which ``rho^(p+1) / (1 - rho) <= 2^-53``:
+    at most 53, plus ``M_0``.  Any other targets take the direct sum over
+    (target, source) pairs.
+    """
+    spec = source.spec
+    scale = _scale_factor(spec.h, spec.dim)
+    offset = _lattice_offset(spec, targets)
+    if offset is not None:
+        return _PotentialPlan("fft", scale, offset)
+    keep = source.values != 0.0
+    coords = tuple(spec.axis_coords(a)[i] for a, i in enumerate(np.nonzero(keep)))
+    direct = _PotentialPlan("direct", scale, coords=coords, weights=source.values[keep])
+    if spec.dim != 2 or not keep.any():
+        return direct
+    mid = [0.5 * (x.min() + x.max()) for x in coords]
+    from_centre = np.empty(len(coords[0]), complex)
+    from_centre.real = coords[0] - mid[0]
+    from_centre.imag = coords[1] - mid[1]
+    radius = float(np.abs(from_centre).max())
+    # the target node nearest to c is the nearest one on each axis
+    nearest = math.hypot(*(np.abs(targets.axis_coords(a) - m).min() for a, m in enumerate(mid)))
+    if nearest < max(2.0 * radius, spec.h):
+        return direct
+    rho = radius / nearest
+    terms = 0
+    while rho ** (terms + 1) > 2.0**-53 * (1.0 - rho):
+        terms += 1
+    return replace(direct, path="expansion", centre=complex(*mid), radius=radius,
+                   scaled=from_centre / radius if radius else from_centre, terms=terms)
 
 
 def _kernel_of_squared_distance(
@@ -212,11 +261,7 @@ def _squared_tables(differences: Sequence[np.ndarray]):
 
 
 def _hockney_potential(
-    fs: FundamentalSolution,
-    source: GridFunction,
-    target_extents: Sequence[int],
-    offset: Sequence[int],
-    self_value: float,
+    fs: FundamentalSolution, source: GridFunction, targets: GridSpec, plan: _PotentialPlan
 ) -> np.ndarray:
     """The lattice sum less ``h^n`` for targets ``offset`` cells from the source origin, by FFT.
 
@@ -228,57 +273,19 @@ def _hockney_potential(
     Its self cell is where every axis's square is 0: the zero displacement
     ``Ns - 1 - offset`` when the table holds it, a box where ``h^2`` underflows.
     """
-    axes = zip(offset, source.spec.extents, target_extents)
+    axes = zip(plan.offset, source.spec.extents, targets.extents)
     displacements = [source.spec.h * (float(o) + np.arange(1 - s, t)) for o, s, t in axes]
     tables, k = _squared_tables(displacements)
     d2 = sum(np.ix_(*tables))
     table = _kernel_of_squared_distance(fs, d2, out=d2, k=k)
-    table[np.ix_(*(t == 0.0 for t in tables))] = self_value
+    table[np.ix_(*(t == 0.0 for t in tables))] = fs.cell_average(source.spec.h)
     return _valid_convolve(table, source.values)
 
 
-def _separated_sources(source: GridFunction, targets: GridSpec):
-    """The plane source about its centre when every target is far from it, else None.
-
-    ``c`` is the centre of the nonzero nodes' bounding box and ``R`` their
-    largest distance from it.  The targets are far when every target node is
-    at least ``max(2R, h)`` from ``c``.  Then ``rho = R / min|t - c|`` is at
-    most 1/2, and every target is at least ``h/2`` from every source (two
-    nonzero nodes give ``R >= h/2``), so no self cell arises.  Points are
-    complex numbers ``x1 + i x2``.  Returns ``(c, R, (s - c) / R, f, p)``, the
-    offsets taken as 0 when ``R = 0``, with ``p`` the smallest term count for
-    which ``rho^(p+1) / (1 - rho) <= 2^-53``: at most 53, plus ``M_0``.
-    """
-    keep = source.values != 0.0
-    if not keep.any():
-        return None
-    coords = [source.spec.axis_coords(a)[i] for a, i in enumerate(np.nonzero(keep))]
-    mid = [0.5 * (x.min() + x.max()) for x in coords]
-    offsets = np.empty(len(coords[0]), complex)
-    offsets.real = coords[0] - mid[0]
-    offsets.imag = coords[1] - mid[1]
-    radius = float(np.abs(offsets).max())
-    # the target node nearest to c is the nearest one on each axis
-    nearest = math.hypot(*(np.abs(targets.axis_coords(a) - m).min() for a, m in enumerate(mid)))
-    if nearest < max(2.0 * radius, source.spec.h):
-        return None
-    rho = radius / nearest
-    terms = 0
-    while rho ** (terms + 1) > 2.0**-53 * (1.0 - rho):
-        terms += 1
-    scaled = offsets / radius if radius else offsets
-    return complex(*mid), radius, scaled, source.values[keep], terms
-
-
 def _multipole_potential(
-    targets: GridSpec,
-    centre: complex,
-    radius: float,
-    offsets: np.ndarray,
-    weights: np.ndarray,
-    terms: int,
+    fs: FundamentalSolution, source: GridFunction, targets: GridSpec, plan: _PotentialPlan
 ) -> np.ndarray:
-    """The plane lattice sum less ``h^2`` at far targets, by an expansion about ``centre``.
+    """The plane lattice sum less ``h^2`` at far targets, by an expansion about ``plan.centre``.
 
     With points as complex numbers and ``|s - c| < |t - c|``,
     ``log(t - s) = log(t - c) - sum_k ((s - c) / (t - c))^k / k``, so the sum is
@@ -286,32 +293,29 @@ def _multipole_potential(
     ``M_k = sum_s f_s ((s - c) / R)^k / k`` (Greengard & Rokhlin, J. Comput.
     Phys. 1987): every power is at most 1 in magnitude.  The series is summed
     by Horner's rule in ``R / (t - c)``, one pass over the targets per term,
-    and the ``p`` terms of :func:`_separated_sources` leave a tail of at most
+    and the ``p`` terms of :func:`_potential_plan` leave a tail of at most
     ``2^-53 sum|f|``.  High powers that underflow for distant targets are
     benign.
     """
     with np.errstate(under="ignore"):
         moments = []
-        power = weights.astype(complex)
-        for k in range(1, terms + 1):
-            power *= offsets
+        power = plan.weights.astype(complex)
+        for k in range(1, plan.terms + 1):
+            power *= plan.scaled
             moments.append(power.sum() / k)
         z = np.empty(targets.extents, complex)
-        z.real = (targets.axis_coords(0) - centre.real)[:, None]
-        z.imag = targets.axis_coords(1) - centre.imag
-        ratio = radius / z
+        z.real = (targets.axis_coords(0) - plan.centre.real)[:, None]
+        z.imag = targets.axis_coords(1) - plan.centre.imag
+        ratio = plan.radius / z
         series = np.zeros(targets.extents, complex)
         for moment in reversed(moments):
             series += moment
             series *= ratio
-        return (1.0 / (2.0 * math.pi)) * (weights.sum() * np.log(np.abs(z)) - series.real)
+        return (1.0 / (2.0 * math.pi)) * (plan.weights.sum() * np.log(np.abs(z)) - series.real)
 
 
 def _direct_potential(
-    fs: FundamentalSolution,
-    source: GridFunction,
-    targets: GridSpec,
-    self_value: float,
+    fs: FundamentalSolution, source: GridFunction, targets: GridSpec, plan: _PotentialPlan
 ) -> np.ndarray:
     """The lattice sum less ``h^n`` on the nodes of ``targets``, shape (leading, last nodes).
 
@@ -329,13 +333,9 @@ def _direct_potential(
     the distances' squares pass the float range.
     """
     h = source.spec.h
-    keep = source.values != 0.0
-    weights = source.values[keep]
-    count = weights.size
-    differences = [
-        targets.axis_coords(a)[:, None] - source.spec.axis_coords(a)[i]
-        for a, i in enumerate(np.nonzero(keep))
-    ]
+    self_value = fs.cell_average(h)
+    count = plan.weights.size
+    differences = [targets.axis_coords(a)[:, None] - c for a, c in enumerate(plan.coords)]
     tables, k = _squared_tables(differences)
     near_sq = _scale_factor(math.ldexp(1e-9 * h, -k), 2)
     *leading, last = targets.extents
@@ -359,7 +359,7 @@ def _direct_potential(
             vals = _kernel_of_squared_distance(fs, d2, out=d2, k=k)
             if near is not None:
                 vals[near] = self_value
-            sums = vals.reshape(math.prod(block), count) @ weights
+            sums = vals.reshape(math.prod(block), count) @ plan.weights
             out[lo : lo + block[0], col : col + block[1]] = sums.reshape(block)
     return out
 
@@ -877,6 +877,7 @@ def harnack_limit(
     if any(g.spec != spec for g in grids[1:]):
         raise ValueError("all grids must share one spec")
     _check_tolerance(tol)
+    limit = shrink(grids[-1], compact_margin)  # refuses a margin that empties an axis
     pairs = _normalize_margins(compact_margin, spec.dim)
     window = tuple(slice(lo, e - hi) for (lo, hi), e in zip(pairs, spec.extents))
     steps = []
@@ -887,9 +888,8 @@ def harnack_limit(
             return HarnackVerdict("violation", (), witness=(k, tuple(int(i) for i in witness)))
         steps.append(float(np.abs(diff[window]).max()))
     deviations = tuple(steps)
-    if float(grids[-1].values[window].min()) > 1.0 / tol or deviations[-1] > tol:
+    if float(limit.values.min()) > 1.0 / tol or deviations[-1] > tol:
         return HarnackVerdict("divergent", deviations)
-    limit = shrink(grids[-1], compact_margin)
     residual = None
     if all(e >= 3 for e in limit.spec.extents):
         residual = float(np.abs(laplace_stencil(spec.dim, spec.h).apply(limit).values).max())

@@ -308,11 +308,6 @@ def grid_file_chunks(u: GridFunction) -> Iterator[str]:
     return _table_chunks(head, [u.flat()])
 
 
-def grid_file_text(u: GridFunction) -> str:
-    """The grid file serialization: header lines then one value per line."""
-    return "".join(grid_file_chunks(u))
-
-
 # A process's descriptor directory, where /dev/fd, /dev/stdout and the like lead.
 _DESCRIPTOR_DIR = re.compile(r"/proc/[^/]+(?:/task/[^/]+)?/fd")
 

@@ -20,6 +20,7 @@ from pardiff.elliptic import (
     FundamentalSolution,
     convergence_study,
     harmonicity_residual,
+    harnack_limit,
     max_principle_check,
     mean_value_check,
     newtonian_potential,
@@ -109,6 +110,8 @@ MISFITS = [
      lambda: shrink(X1, [(1, 1)])),
     ("shrink-negative-margin", "margins must be nonnegative, got ((1, 1), (-1, 0))",
      lambda: shrink(X1, [(1, 1), (-1, 0)])),
+    ("harnack_limit-empty-window", "shrinking by (0, 0)/(9, 0) leaves an empty axis",
+     lambda: harnack_limit([X1, X1, X1], [(0, 9), (0, 0)], 1e-6)),
     ("restrict-dimension", "incompatible specs: dimensions differ", lambda: restrict(X1, LINE)),
     ("make_mollifier-dim", "dimension must be at least 1, got 0",
      lambda: make_mollifier(0, 0.5, 0.125)),

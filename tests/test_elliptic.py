@@ -4,12 +4,15 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pardiff import elliptic
 from pardiff.elliptic import (
     FundamentalSolution,
+    _PotentialPlan,
+    _direct_potential,
     _kernel_of_squared_distance,
+    _potential_plan,
     convergence_study,
     harnack_limit,
     harmonicity_residual,
@@ -176,18 +179,18 @@ class TestNewtonianPotential:
         assert np.abs(u.values).max() == 0.0
 
     @pytest.mark.parametrize(
-        "targets, other",
+        "targets, path",
         [
-            (GridSpec((-1.0, -1.0), 0.25, (9, 9)), "_direct_potential"),
-            (GridSpec((1.5, -3.0), 0.25, (4, 3)), "_direct_potential"),
-            (GridSpec((-0.4, -0.3), 0.1, (7, 6)), "_hockney_potential"),
+            (GridSpec((-1.0, -1.0), 0.25, (9, 9)), "fft"),
+            (GridSpec((1.5, -3.0), 0.25, (4, 3)), "fft"),
+            (GridSpec((-0.4, -0.3), 0.1, (7, 6)), "direct"),
         ],
         ids=["on-lattice", "on-lattice-outside", "off-lattice"],
     )
-    def test_zero_source_gives_exact_zeros_on_each_path(self, targets, other, monkeypatch):
+    def test_zero_source_gives_exact_zeros_on_each_path(self, targets, path):
         spec = GridSpec((-1.0, -1.0), 0.25, (9, 9))
-        monkeypatch.setattr(elliptic, other, _forbidden)
         zero = GridFunction(spec, np.zeros((9, 9)))
+        assert _potential_plan(zero, targets).path == path
         with np.errstate(all="raise"):
             u = newtonian_potential(FundamentalSolution(2), zero, targets)
         assert u.spec == targets
@@ -247,10 +250,6 @@ def _target_points(spec):
     return np.stack([m.reshape(-1) for m in spec.meshes()], axis=1)
 
 
-def _forbidden(*args, **kwargs):
-    raise AssertionError("the potential took the wrong path for these targets")
-
-
 def _pairwise_potential(
     fs: FundamentalSolution,
     source: GridFunction,
@@ -302,14 +301,14 @@ ON_LATTICE = {
 
 class TestPotentialPaths:
     @pytest.mark.parametrize("case", list(ON_LATTICE))
-    def test_fft_matches_direct_sum(self, case, monkeypatch, forbid_indicator_transform):
+    def test_fft_matches_direct_sum(self, case, forbid_indicator_transform):
         spec, cells, extents = ON_LATTICE[case]
         f = compact_poly_bump(spec, 0.6)
         fs = FundamentalSolution(spec.dim)
         origin = tuple(o + k * spec.h for o, k in zip(spec.origin, cells))
         targets = GridSpec(origin, spec.h, extents)
         reference = _pairwise_potential(fs, f, _target_points(targets), 8).reshape(extents)
-        monkeypatch.setattr(elliptic, "_direct_potential", _forbidden)
+        assert _potential_plan(f, targets).path == "fft"
         if spec.dim == 3:
             # r^(2-n) has no zero, so every node meets the source and the mask needs no FFT
             forbid_indicator_transform()
@@ -317,21 +316,21 @@ class TestPotentialPaths:
         assert np.abs(u).max() > 0.0
         assert np.abs(u - reference).max() <= 1e-13 * max(1.0, np.abs(u).max())
 
-    def test_fft_peak_memory_per_node_at_65_cubed(self, monkeypatch, traced_peak):
+    def test_fft_peak_memory_per_node_at_65_cubed(self, traced_peak):
         spec = GridSpec((-1.0, -1.0, -1.0), 1 / 32, (65, 65, 65))
         f = compact_poly_bump(spec, 0.6)
-        monkeypatch.setattr(elliptic, "_direct_potential", _forbidden)
+        assert _potential_plan(f, spec).path == "fft"
         peak = traced_peak(lambda: newtonian_potential(FundamentalSolution(3), f, spec))
         # measured 351.2 B in a fresh process (numpy 2.4), plus 4 B
         assert peak / spec.node_count <= 355
 
     @pytest.mark.parametrize("dim", [2, 3])
-    def test_fft_where_the_squares_of_h_underflow(self, dim, monkeypatch):
+    def test_fft_where_the_squares_of_h_underflow(self, dim):
         """At h = 1e-170 the squares near the zero displacement are all 0, and every one of
         them is a self cell, as in the direct sum: the potential is h^n = 0 times a finite sum."""
         spec = GridSpec((0.0,) * dim, 1e-170, (5,) * dim)
         f = GridFunction(spec, np.pad(np.ones((3,) * dim), 1))
-        monkeypatch.setattr(elliptic, "_direct_potential", _forbidden)
+        assert _potential_plan(f, spec).path == "fft"
         assert (newtonian_potential(FundamentalSolution(dim), f, spec).values == 0.0).all()
 
     @pytest.mark.parametrize(
@@ -342,11 +341,11 @@ class TestPotentialPaths:
         ],
         ids=["half-cell-offset", "other-spacing"],
     )
-    def test_off_lattice_targets_take_the_direct_sum(self, targets, monkeypatch):
+    def test_off_lattice_targets_take_the_direct_sum(self, targets):
         f = compact_poly_bump(SOURCE_2D, 0.6)
         fs = FundamentalSolution(2)
         h = SOURCE_2D.h
-        monkeypatch.setattr(elliptic, "_hockney_potential", _forbidden)
+        assert _potential_plan(f, targets).path == "direct"
         u = newtonian_potential(fs, f, targets).values
         sources = _target_points(SOURCE_2D)
         weights = f.values.reshape(-1)
@@ -391,7 +390,7 @@ class TestDirectSumMatchesPairwise:
     """The per-axis table sum against the pairwise reference it replaced."""
 
     @pytest.mark.parametrize("case", list(OFF_LATTICE))
-    def test_table_sum_matches_pairwise_sum(self, case, monkeypatch):
+    def test_table_sum_matches_pairwise_sum(self, case):
         spec, single, pitch, cells, extents = OFF_LATTICE[case]
         if single is None:
             f = compact_poly_bump(spec, 0.6)
@@ -405,16 +404,16 @@ class TestDirectSumMatchesPairwise:
         targets = GridSpec(origin, pitch, extents)
         fs = FundamentalSolution(spec.dim)
         reference = _pairwise_potential(fs, f, _target_points(targets), 8).reshape(extents)
-        monkeypatch.setattr(elliptic, "_hockney_potential", _forbidden)
+        assert _potential_plan(f, targets).path == "direct"
         u = newtonian_potential(fs, f, targets).values
         assert np.abs(u).max() > 0.0
         assert np.abs(u - reference).max() <= 1e-13 * max(1.0, np.abs(u).max())
 
-    def test_peak_memory_is_within_the_pairwise_peak(self, monkeypatch, traced_peak):
+    def test_peak_memory_is_within_the_pairwise_peak(self, traced_peak):
         f = compact_poly_bump(SOURCE_3D, 0.6)
         fs = FundamentalSolution(3)
         targets = GridSpec((-1.3, -1.2, -1.1), 0.04, (64, 64, 64))
-        monkeypatch.setattr(elliptic, "_hockney_potential", _forbidden)
+        assert _potential_plan(f, targets).path == "direct"
         direct = traced_peak(lambda: newtonian_potential(fs, f, targets))
         pairwise = traced_peak(lambda: _pairwise_potential(fs, f, _target_points(targets), 8))
         assert direct <= 1.25 * pairwise
@@ -428,14 +427,15 @@ def _centre_and_radius(f: GridFunction):
 
 
 def _far_targets(f, side, rho, pitch, extents, shift=0.0):
-    """Targets on one side of ``f``'s nonzeros whose nearest node is ``R / rho`` from the centre.
+    """Targets on one side of ``f``'s nonzeros whose nearest node is ``max(R, h/2) / rho`` from
+    the centre, so that a single nonzero (``R = 0``) is at least ``h`` from every target.
 
     ``side`` is the unit direction from the centre to the nearest node, which is
     a corner (or edge node) of the target grid; ``shift`` moves that node along
     the grid's edge, away from the axis through the centre, by cells.
     """
     centre, radius = _centre_and_radius(f)
-    near = centre + np.asarray(side) * (radius / rho)
+    near = centre + np.asarray(side) * (max(radius, f.spec.h / 2) / rho)
     origin = [
         c if s > 0 else c - (e - 1) * pitch if s < 0 else c + shift * pitch
         for c, s, e in zip(near, side, extents)
@@ -457,23 +457,22 @@ FAR_FIELD = {
 
 
 class TestMultipoleFarField:
-    """The plane far-field expansion against the pairwise sum, with the direct sum patched to fail."""
+    """The plane far-field expansion against the pairwise sum, on the targets it is planned for."""
 
     @pytest.mark.parametrize("case", list(FAR_FIELD))
-    def test_matches_pairwise_sum(self, case, monkeypatch):
+    def test_matches_pairwise_sum(self, case):
         side, rho, pitch, extents = FAR_FIELD[case]
         f = compact_poly_bump(SOURCE_2D, 0.6)
         targets = _far_targets(f, side, rho, pitch or SOURCE_2D.h, extents, shift=0.37)
         fs = FundamentalSolution(2)
         reference = _pairwise_potential(fs, f, _target_points(targets), 8).reshape(extents)
-        monkeypatch.setattr(elliptic, "_direct_potential", _forbidden)
-        monkeypatch.setattr(elliptic, "_hockney_potential", _forbidden)
+        assert _potential_plan(f, targets).path == "expansion"
         u = newtonian_potential(fs, f, targets).values
         assert np.abs(u).max() > 0.0
         assert np.abs(u - reference).max() <= 1e-13 * max(1.0, np.abs(u).max())
 
     @pytest.mark.parametrize("side", [(1, 0), (0, -1)], ids=["east", "south"])
-    def test_sign_changing_source(self, side, monkeypatch):
+    def test_sign_changing_source(self, side):
         """``bump * x1`` nearly cancels, so the bound is relative to the largest term.
 
         Each pair contributes at most ``h^2 |f| max|K|``, so the sum's roundoff
@@ -489,47 +488,47 @@ class TestMultipoleFarField:
         distances = np.linalg.norm(points[:, None, :] - sources[None, :, :], axis=2)
         largest_term = SOURCE_2D.h**2 * np.abs(f.values).sum() * np.abs(fs.radial(distances)).max()
         reference = _pairwise_potential(fs, f, points, 8).reshape(targets.extents)
-        monkeypatch.setattr(elliptic, "_direct_potential", _forbidden)
+        assert _potential_plan(f, targets).path == "expansion"
         u = newtonian_potential(fs, f, targets).values
         assert np.abs(u - reference).max() <= 1e-13 * largest_term
         assert np.abs(u).max() > 1e-6 * largest_term  # the dipole does not cancel
 
-    def test_just_inside_half_takes_the_expansion(self, monkeypatch):
+    def test_just_inside_half_takes_the_expansion(self):
         f = compact_poly_bump(SOURCE_2D, 0.6)
         targets = _far_targets(f, (1, 0), 0.4999, 0.1, (5, 6))
         centre, radius = _centre_and_radius(f)
         assert 0.4998 < radius / math.dist(targets.origin, centre) < 0.5
         fs = FundamentalSolution(2)
         reference = _pairwise_potential(fs, f, _target_points(targets), 8).reshape(targets.extents)
-        monkeypatch.setattr(elliptic, "_direct_potential", _forbidden)
+        assert _potential_plan(f, targets).path == "expansion"
         u = newtonian_potential(fs, f, targets).values
         assert np.abs(u - reference).max() <= 1e-13 * max(1.0, np.abs(u).max())
 
-    def test_just_outside_half_takes_the_direct_sum(self, monkeypatch):
+    def test_just_outside_half_takes_the_direct_sum(self):
         f = compact_poly_bump(SOURCE_2D, 0.6)
         targets = _far_targets(f, (1, 0), 0.5001, 0.1, (5, 6))
-        monkeypatch.setattr(elliptic, "_multipole_potential", _forbidden)
+        assert _potential_plan(f, targets).path == "direct"
         u = newtonian_potential(FundamentalSolution(2), f, targets).values
         assert np.isfinite(u).all()
 
-    def test_three_dimensional_far_targets_take_the_direct_sum(self, monkeypatch):
+    def test_three_dimensional_far_targets_take_the_direct_sum(self):
         f = compact_poly_bump(SOURCE_3D, 0.6)
         targets = GridSpec((20.0, -3.0, 1.0), 0.2, (4, 3, 5))
         fs = FundamentalSolution(3)
         reference = _pairwise_potential(fs, f, _target_points(targets), 8).reshape(targets.extents)
-        monkeypatch.setattr(elliptic, "_multipole_potential", _forbidden)
+        assert _potential_plan(f, targets).path == "direct"
         u = newtonian_potential(fs, f, targets).values
         assert np.abs(u - reference).max() <= 1e-13 * max(1.0, np.abs(u).max())
 
     @pytest.mark.parametrize("origin", [(0.3, 0.2), (-2.0, 5.5), (40.0, -7.0)])
-    def test_single_source_is_the_kernel(self, origin, monkeypatch):
+    def test_single_source_is_the_kernel(self, origin):
         values = np.zeros(SOURCE_2D.extents)
         values[5, 4] = 2.5
         f = GridFunction(SOURCE_2D, values)
         source = np.asarray(SOURCE_2D.node((5, 4)))
         targets = GridSpec(origin, 0.1, (6, 7))
         fs = FundamentalSolution(2)
-        monkeypatch.setattr(elliptic, "_direct_potential", _forbidden)
+        assert _potential_plan(f, targets).path == "expansion"
         u = newtonian_potential(fs, f, targets).values
         expected = np.array(
             [SOURCE_2D.h**2 * 2.5 * fs.evaluate(np.asarray(targets.node(i)) - source)
@@ -543,27 +542,85 @@ class TestMultipoleFarField:
         f = compact_poly_bump(SOURCE_2D, 0.6)
         centre, radius = _centre_and_radius(f)
         targets = GridSpec((centre[0] + radius / rho, centre[1]), 0.1, (3, 4))
-        *_, terms = elliptic._separated_sources(f, targets)
+        terms = _potential_plan(f, targets).terms
         measured = radius / (targets.origin[0] - centre[0])
         assert measured**(terms + 1) / (1.0 - measured) <= 2.0**-53
         assert terms == 0 or measured**terms / (1.0 - measured) > 2.0**-53
         if rho == 0.5:
             assert measured == 0.5 and terms == 53
 
-    def test_zero_source_takes_the_direct_sum(self, monkeypatch):
-        monkeypatch.setattr(elliptic, "_multipole_potential", _forbidden)
+    def test_zero_source_takes_the_direct_sum(self):
         zero = GridFunction(SOURCE_2D, np.zeros(SOURCE_2D.extents))
-        u = newtonian_potential(FundamentalSolution(2), zero, GridSpec((30.0, 0.5), 0.1, (3, 4)))
+        targets = GridSpec((30.0, 0.5), 0.1, (3, 4))
+        assert _potential_plan(zero, targets).path == "direct"
+        u = newtonian_potential(FundamentalSolution(2), zero, targets)
         assert (u.values == 0.0).all() and not np.signbit(u.values).any()
 
-    def test_a_target_within_h_of_a_single_source_takes_the_direct_sum(self, monkeypatch):
+    def test_a_target_within_h_of_a_single_source_takes_the_direct_sum(self):
         values = np.zeros(SOURCE_2D.extents)
         values[5, 4] = 2.5
         f = GridFunction(SOURCE_2D, values)
         x1, x2 = SOURCE_2D.node((5, 4))
-        monkeypatch.setattr(elliptic, "_multipole_potential", _forbidden)
-        u = newtonian_potential(FundamentalSolution(2), f, GridSpec((x1 + 0.1, x2), 0.1, (3, 3)))
+        targets = GridSpec((x1 + 0.1, x2), 0.1, (3, 3))
+        assert _potential_plan(f, targets).path == "direct"
+        u = newtonian_potential(FundamentalSolution(2), f, targets)
         assert np.isfinite(u.values).all()
+
+
+@st.composite
+def _planned_potentials(draw):
+    """A small source, a bump about 0 or one nonzero node, and targets of one of four kinds.
+
+    ``lattice`` targets sit whole cells from the source origin, ``fraction`` ones
+    a fraction of a cell off it at the same pitch and ``pitch`` ones at another
+    pitch; both cover the source box, so some target node is within ``h`` of the
+    nonzeros' centre.  ``far`` targets (2-D only) have ``rho`` at most 0.45.
+    """
+    dim = draw(st.sampled_from([2, 3]))
+    h = draw(st.sampled_from([0.25, 0.125, 0.1]))
+    extents = draw(st.tuples(*[st.integers(5, 9 if dim == 2 else 6)] * dim))
+    below = [draw(st.integers(1, e - 2)) for e in extents]  # nodes below the coordinate 0
+    spec = GridSpec(tuple(-i * h for i in below), h, extents)
+    if draw(st.booleans()):
+        distance = min(min(i, e - 1 - i) for i, e in zip(below, extents)) * h
+        f = compact_poly_bump(spec, draw(st.floats(0.5, 0.95)) * distance)
+    else:
+        values = np.zeros(extents)
+        node = tuple(draw(st.integers(1, e - 2)) for e in extents)
+        values[node] = draw(st.sampled_from([2.5, -0.3]))
+        f = GridFunction(spec, values)
+    kind = draw(st.sampled_from(["lattice", "fraction", "pitch"] + ["far"] * (dim == 2)))
+    fractions = np.array([draw(st.floats(0.05, 0.95)) for _ in range(dim)])
+    if kind == "lattice":
+        cells = [draw(st.integers(-4, e + 2)) for e in extents]
+        sizes = tuple(draw(st.integers(1, 5)) for _ in range(dim))
+        targets = GridSpec(tuple(o + k * h for o, k in zip(spec.origin, cells)), h, sizes)
+    elif kind == "fraction":
+        origin = np.asarray(spec.origin) + (fractions - 1.0) * h
+        targets = GridSpec(tuple(origin), h, tuple(e + 1 for e in extents))
+    elif kind == "pitch":
+        pitch = h * draw(st.sampled_from([0.6, 0.75, 1.3]))
+        origin = np.asarray(spec.origin) - fractions * pitch
+        sizes = tuple(math.ceil((e - 1) * h / pitch) + 2 for e in extents)
+        targets = GridSpec(tuple(origin), pitch, sizes)
+    else:
+        side = draw(st.sampled_from([(1, 0), (-1, 0), (0, 1), (0, -1)]))
+        pitch = h * draw(st.sampled_from([0.7, 1.3]))
+        sizes = (draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+        targets = _far_targets(f, side, draw(st.floats(0.05, 0.45)), pitch, sizes, shift=0.37)
+    return f, targets, kind
+
+
+@settings(max_examples=100, deadline=None)
+@given(_planned_potentials())
+def test_planned_path_matches_pairwise_sum(case):
+    f, targets, kind = case
+    path = {"lattice": "fft", "fraction": "direct", "pitch": "direct", "far": "expansion"}[kind]
+    assert _potential_plan(f, targets).path == path
+    fs = FundamentalSolution(f.spec.dim)
+    u = newtonian_potential(fs, f, targets).values
+    reference = _pairwise_potential(fs, f, _target_points(targets), 8).reshape(targets.extents)
+    assert np.abs(u - reference).max() <= 1e-13 * max(1.0, np.abs(u).max())
 
 
 class TestTargetsPastTheSquareRange:
@@ -596,20 +653,22 @@ class TestTargetsPastTheSquareRange:
         f = compact_poly_bump(SOURCE_3D, 0.6)
         self._check(FundamentalSolution(3), f, GridSpec((1e160, 0.0, 0.0), 0.2, (3, 2, 4)))
 
-    def test_plane_grid_with_one_node_near_the_source(self, monkeypatch):
+    def test_plane_grid_with_one_node_near_the_source(self):
         f = compact_poly_bump(SOURCE_2D, 0.6)
-        monkeypatch.setattr(elliptic, "_multipole_potential", _forbidden)
-        self._check(FundamentalSolution(2), f, GridSpec((0.3, 0.1), 1e160, (2, 3)), nearby=[(0, 0)])
+        targets = GridSpec((0.3, 0.1), 1e160, (2, 3))
+        assert _potential_plan(f, targets).path == "direct"
+        self._check(FundamentalSolution(2), f, targets, nearby=[(0, 0)])
 
     def test_three_dimensional_grid_with_one_node_near_the_source(self):
         f = compact_poly_bump(SOURCE_3D, 0.6)
         targets = GridSpec((0.3, 0.1, -0.2), 1e160, (2, 2, 2))
         self._check(FundamentalSolution(3), f, targets, nearby=[(0, 0, 0)])
 
-    def test_plane_far_targets_take_the_expansion(self, monkeypatch):
+    def test_plane_far_targets_take_the_expansion(self):
         f = compact_poly_bump(SOURCE_2D, 0.6)
-        monkeypatch.setattr(elliptic, "_direct_potential", _forbidden)
-        self._check(FundamentalSolution(2), f, GridSpec((1e160, 0.0), 0.2, (3, 4)))
+        targets = GridSpec((1e160, 0.0), 0.2, (3, 4))
+        assert _potential_plan(f, targets).path == "expansion"
+        self._check(FundamentalSolution(2), f, targets)
 
     @pytest.mark.parametrize(
         "source,x",
@@ -617,12 +676,12 @@ class TestTargetsPastTheSquareRange:
         + [(GridSpec((0.0, 0.0), 1e154, (5, 5)), None)],
         ids=["2d-1e19", "2d-1e160", "2d-1e300", "3d-1e19", "3d-1e160", "3d-1e300", "2d-self-1e154"],
     )
-    def test_same_pitch_targets_take_the_fft(self, source, x, monkeypatch):
+    def test_same_pitch_targets_take_the_fft(self, source, x):
         """Whole-cell offsets past 2^63 cells, and squared distances that overflow.
 
         With ``x`` None, the self-potential of 1e-10 on the grid's interior: at
         h = 1e154 its table is scaled (k = 14) and holds the zero displacement.
-        The reference is the direct sum, reached by taking the targets off the lattice.
+        The reference is the direct sum, run on a direct plan built here.
         """
         if x is None:
             f, targets = GridFunction(source, np.pad(np.full((3, 3), 1e-10), 1)), source
@@ -630,14 +689,13 @@ class TestTargetsPastTheSquareRange:
             f = compact_poly_bump(source, 0.6)
             targets = GridSpec((x,) + (0.0,) * (source.dim - 1), source.h, (3,) * source.dim)
         fs = FundamentalSolution(source.dim)
-        with monkeypatch.context() as m:
-            m.setattr(elliptic, "_lattice_offset", lambda *args: None)
-            m.setattr(elliptic, "_separated_sources", lambda *args: None)
-            reference = newtonian_potential(fs, f, targets).values
-        monkeypatch.setattr(elliptic, "_direct_potential", _forbidden)
-        monkeypatch.setattr(elliptic, "_multipole_potential", _forbidden)
+        keep = f.values != 0.0
+        coords = tuple(m[keep] for m in source.meshes())
+        direct = _PotentialPlan("direct", source.h**fs.dim, coords=coords, weights=f.values[keep])
+        reference = direct.scale * _direct_potential(fs, f, targets, direct)
+        assert _potential_plan(f, targets).path == "fft"
         u = newtonian_potential(fs, f, targets).values if x is None else self._check(fs, f, targets)
-        assert np.abs(u - reference).max() <= 1e-13 * np.abs(u).max()
+        assert np.abs(u - reference.reshape(targets.extents)).max() <= 1e-13 * np.abs(u).max()
 
 
 class TestLaplaceSolver:

@@ -24,7 +24,6 @@ from pardiff.grid import (
     _atomic_write,
     _header_fields,
     grid_file_chunks,
-    grid_file_text,
     load_grid,
     norm,
     restrict,
@@ -539,7 +538,7 @@ class TestGridFileMemory:
     @pytest.mark.parametrize("fault", ["truncated", "bad-value-in-the-last-block"])
     def test_a_faulty_body(self, tmp_path, grid, fault):
         path = tmp_path / "g.grd"
-        text = grid_file_text(grid)
+        text = "".join(grid_file_chunks(grid))
         if fault == "truncated":
             text = text[:text.rindex("\n", 0, -1) + 1]
             error = f"{path}: expected {self.NODES} value lines, found {self.NODES - 1}"
@@ -552,7 +551,7 @@ class TestGridFileMemory:
         assert load_outcome(load_grid, path) == ("GridFileError", error)
 
 
-# Written once by the per-value writer that grid_file_text replaced.
+# Written once by the per-value writer that grid_file_chunks replaced.
 EDGE_VALUES = [0.1, 1 / 3, -0.0, 5e-324, -1.7976931348623157e308, 2.2250738585072014e-308,
                1e16, 123456789.0, -2 / 3]
 GOLDEN_TEXT = {
@@ -577,7 +576,7 @@ class TestGridFileText:
     def test_golden_bytes(self, tmp_path, name):
         spec, text = GOLDEN_TEXT[name]
         u = GridFunction(spec, EDGE_VALUES)
-        assert grid_file_text(u) == text
+        assert "".join(grid_file_chunks(u)) == text
         save_grid(u, str(tmp_path / "g.grd"))
         assert (tmp_path / "g.grd").read_bytes() == text.encode()
 
@@ -590,7 +589,7 @@ class TestGridFileChunks:
         spec, text = GOLDEN_TEXT[name]
         u = GridFunction(spec, EDGE_VALUES)
         chunks = list(grid_file_chunks(u))
-        assert "".join(chunks) == text == grid_file_text(u)
+        assert "".join(chunks) == text
         full, rest = divmod(len(EDGE_VALUES), block)
         assert [c.count("\n") for c in chunks] == [4] + [block] * full + [rest] * (rest > 0)
 
@@ -684,7 +683,7 @@ class TestOutputTargets:
         u = sample("x1", GridSpec((0.0,), 1.0, (3,)))
         save_grid(u, str(tmp_path / "link.grd"))
         assert os.readlink(tmp_path / "link.grd") == "real.grd"
-        assert (tmp_path / "real.grd").read_text() == grid_file_text(u)
+        assert (tmp_path / "real.grd").read_text() == "".join(grid_file_chunks(u))
         assert sorted(os.listdir(tmp_path)) == ["link.grd", "real.grd"]
 
     def test_a_dangling_symlink_creates_the_file_it_names(self, tmp_path):
